@@ -32,10 +32,6 @@ class ShiftOperator:
     height: int
     matrix: sparse.csr_matrix
 
-    @property
-    def transposed(self) -> sparse.csr_matrix:
-        return self.matrix.T.tocsr()
-
 
 def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     """Build the bilinear shift operator for displacement (dx, dy).

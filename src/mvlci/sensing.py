@@ -10,6 +10,10 @@ and zero-padded to length N) is
 which we evaluate with an in-place fast Walsh-Hadamard transform instead
 of materializing H.  Because Sylvester H is symmetric, the adjoint is the
 same transform applied to the measurement vector scattered onto its rows.
+The transform runs its stages in ping-pong (Stockham) order between two
+buffers, and it must stay bit-identical to the natural-order butterfly:
+the solver's stop rule turns a last-ulp difference into a different
+stopping iteration.
 
 Measurement sets are serialized in a small self-describing container
 ("MVM1"): a text header followed by little-endian binary payload, exact
@@ -31,19 +35,31 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
     Length must be a power of two.  Applying the transform twice scales by
     the length: fwht(fwht(x)) == len(x) * x.
+
+    Each radix-2 stage reads the even and odd elements of one buffer and
+    writes their sums to the first half of the other and their differences
+    to the second half (Stockham, or ping-pong, order).  That rotates the
+    index bits by one per stage, so after log2(n) stages the result is back
+    in natural order, and it is copied into x when log2(n) is odd.  Stage s
+    forms the same a + b and a - b over the same pairs (indices differing
+    in bit s) as the natural-order butterfly, so the result is bit-identical
+    to it; only the memory layout differs, which turns each stage into two
+    ufunc calls over long 1-D loops.  Keep it bit-identical: solver stop
+    decisions are sensitive to last-ulp changes in the transform.
     """
     n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError("fwht length must be a power of two")
-    h = 1
-    while h < n:
-        y = x.reshape(-1, 2 * h)
-        a = y[:, :h]
-        b = y[:, h:]
-        t = a - b
-        a += b
-        b[...] = t
-        h *= 2
+    half = n // 2
+    src, dst = x, np.empty_like(x)
+    for _ in range(n.bit_length() - 1):
+        a = src[0::2]
+        b = src[1::2]
+        np.add(a, b, out=dst[:half])
+        np.subtract(a, b, out=dst[half:])
+        src, dst = dst, src
+    if src is not x:
+        x[...] = src
     return x
 
 
@@ -187,8 +203,8 @@ class MeasurementSet:
             raise ValueError("width*height must equal spec.pixel_count")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError("rate must lie in (0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
 
     @property
     def sensor_count(self) -> int:
@@ -200,6 +216,8 @@ class MeasurementSet:
 # ---------------------------------------------------------------------------
 
 _MVM_MAGIC = "MVM1"
+_MVM_INT_KEYS = ("order", "rows", "sensors", "width", "height", "seed")
+_MVM_FLOAT_KEYS = ("rate", "noise_sigma")
 
 
 def write_mvm(path, ms: MeasurementSet) -> None:
@@ -236,26 +254,37 @@ def read_mvm(path) -> MeasurementSet:
         raise ValueError(f"not an MVM1 file (magic {lines[0]!r})")
     fields = {}
     for line in lines[1:]:
-        key, _, value = line.partition("=")
-        if not _:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ValueError(f"malformed MVM1 header line {line!r}")
         fields[key] = value
-    order = int(fields["order"])
-    count = int(fields["rows"])
-    sensors = int(fields["sensors"])
-    width = int(fields["width"])
-    height = int(fields["height"])
+    missing = [k for k in _MVM_INT_KEYS + _MVM_FLOAT_KEYS if k not in fields]
+    if missing:
+        raise ValueError(f"MVM1 header lacks {', '.join(missing)}")
+    try:
+        ints = {k: int(fields[k]) for k in _MVM_INT_KEYS}
+        floats = {k: float(fields[k]) for k in _MVM_FLOAT_KEYS}
+    except ValueError as exc:
+        raise ValueError(f"non-numeric MVM1 header value ({exc})") from None
+    count, sensors = ints["rows"], ints["sensors"]
+    width, height = ints["width"], ints["height"]
+    if min(count, sensors, width, height) < 1:
+        raise ValueError("MVM1 rows, sensors, width and height must be positive")
     pos = end + 2
-    if len(data) - pos < count * (4 + 8 * sensors):
+    size = count * (4 + 8 * sensors)
+    if len(data) - pos < size:
         raise ValueError("MVM1 payload truncated")
+    if len(data) - pos > size:
+        raise ValueError(f"MVM1 file has {len(data) - pos - size} bytes after the payload")
     rows = np.frombuffer(data, dtype="<u4", count=count, offset=pos).astype(np.int64)
     pos += 4 * count
     values = []
     for _ in range(sensors):
         values.append(np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy())
         pos += 8 * count
-    spec = SensingSpec(order=order, rows=rows, seed=int(fields["seed"]),
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("MVM1 measurement values must be finite")
+    spec = SensingSpec(order=ints["order"], rows=rows, seed=ints["seed"],
                        pixel_count=width * height)
     return MeasurementSet(spec=spec, values=values, width=width, height=height,
-                          rate=float(fields["rate"]),
-                          noise_sigma=float(fields["noise_sigma"]))
+                          **floats)

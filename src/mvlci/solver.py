@@ -245,16 +245,6 @@ class _Engine:
     def _dot(self, al, bl):
         return sum(float(np.dot(a.ravel(), b.ravel())) for a, b in zip(al, bl))
 
-    def fidelity_value_grad(self, xl):
-        """Value and gradient of 1/2 sum_b ||A_bar B x - z_bar||^2."""
-        grad = [np.zeros(c.shape) for c in self.comps]
-        value = 0.0
-        for bi in range(len(self.blocks)):
-            r = self._forward(xl, bi) - self.zbar[bi]
-            value += 0.5 * float(np.dot(r, r))
-            self._backward(r, bi, grad, 1.0)
-        return value, grad
-
     # -- main loop ----------------------------------------------------------
 
     def run(self):

@@ -225,6 +225,47 @@ def test_missing_measurement_file_is_a_runtime_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+def edit_header(data, key, value):
+    """Replace (or, with value None, drop) one MVM1 header field."""
+    header, _, payload = data.partition(b"\n\n")
+    lines = [ln for ln in header.split(b"\n") if not ln.startswith(f"{key}=".encode())]
+    if value is not None:
+        lines.append(f"{key}={value}".encode())
+    return b"\n".join(lines) + b"\n\n" + payload
+
+
+def poison_last_value(data, bad):
+    return data[:-8] + np.array([bad], dtype="<f8").tobytes()
+
+
+MVM_KEYS = ("order", "rows", "sensors", "width", "height", "seed", "rate",
+            "noise_sigma")
+MALFORMED_MVM = {
+    "header-only": lambda d: b"MVM1\norder=4\n\n",
+    **{f"missing-{k}": (lambda d, k=k: edit_header(d, k, None)) for k in MVM_KEYS},
+    "non-numeric-rows": lambda d: edit_header(d, "rows", "abc"),
+    "non-numeric-rate": lambda d: edit_header(d, "rate", "fast"),
+    "nan-noise-sigma": lambda d: edit_header(d, "noise_sigma", "nan"),
+    "negative-size": lambda d: d.replace(b"width=", b"width=-").replace(
+        b"height=", b"height=-"),
+    "trailing-bytes": lambda d: d + b"\0",
+    "nan-value": lambda d: poison_last_value(d, np.nan),
+    "inf-value": lambda d: poison_last_value(d, -np.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MVM))
+def test_malformed_measurement_file_is_a_clean_runtime_error(colocated, tmp_path,
+                                                             capsys, case):
+    bad = tmp_path / "bad.mvm"
+    bad.write_bytes(MALFORMED_MVM[case]((colocated / "meas.mvm").read_bytes()))
+    with pytest.raises(ValueError):
+        read_mvm(bad)
+    assert main(["reconstruct", "--meas", str(bad),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("mvlci:")
+
+
 # ---------------------------------------------------------------------------
 # experiment and argparse behavior
 # ---------------------------------------------------------------------------

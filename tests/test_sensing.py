@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from mvlci import sensing
+from mvlci.geometry import apply_shift, build_region_masks, build_shift
+from mvlci.scene import make_test_scene
 from mvlci.sensing import (
     MeasurementSet,
     SensingSpec,
@@ -15,6 +18,7 @@ from mvlci.sensing import (
     select_rows,
     write_mvm,
 )
+from mvlci.solver import SolverConfig, reconstruct_joint
 
 
 def dense_hadamard(n):
@@ -61,6 +65,62 @@ def test_fwht_applied_twice_scales_by_length(n):
 def test_fwht_rejects_bad_lengths(n):
     with pytest.raises(ValueError):
         fwht(np.zeros(n))
+
+
+def butterfly_fwht(x):
+    """The natural-order in-place butterfly: the reference fwht must match
+    bit for bit."""
+    n = x.shape[0]
+    h = 1
+    while h < n:
+        y = x.reshape(-1, 2 * h)
+        a = y[:, :h]
+        b = y[:, h:]
+        t = a - b
+        a += b
+        b[...] = t
+        h *= 2
+    return x
+
+
+@pytest.mark.parametrize("log2n", range(19))
+def test_fwht_is_bit_identical_to_the_butterfly(log2n):
+    # odd log2n (e.g. 8192, 131072) takes the copy-back path
+    n = 1 << log2n
+    rng = np.random.default_rng(log2n)
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    expected = butterfly_fwht(x.copy())
+    out = fwht(x)
+    assert out is x
+    assert np.array_equal(x, expected)
+
+
+def test_joint_solve_is_bit_identical_with_the_butterfly(monkeypatch):
+    """The stop rule turns a last-ulp change in the transform into a
+    different stopping iteration, so a solve that crosses the penalty
+    doubling at iteration 50 must not move at all."""
+    size = 64
+    masks = build_region_masks(3.5, 0.0, size, size)
+    shift = build_shift(3.5, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(4096, 0.125, 42)
+
+    def solve():
+        return reconstruct_joint(measure(v1, spec), measure(v2, spec), spec,
+                                 size, size, shift, masks,
+                                 SolverConfig(sigma=1.0))
+
+    fast = solve()
+    monkeypatch.setattr(sensing, "fwht", butterfly_fwht)
+    ref = solve()
+    assert fast.iterations == ref.iterations > 50
+    assert fast.converged == ref.converged
+    assert fast.objective == ref.objective
+    for name in ("common", "disjoint1", "disjoint2", "view1", "view2",
+                 "objective_history", "residual_history"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+    assert fast.residuals == ref.residuals
 
 
 # ---------------------------------------------------------------------------

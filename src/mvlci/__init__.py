@@ -21,6 +21,7 @@ from .scene import (
 from .sensing import (
     MeasurementSet,
     SensingSpec,
+    acquire,
     add_noise,
     fwht,
     measure,
@@ -42,6 +43,7 @@ from .solver import (
     ReconstructionResult,
     SolverConfig,
     SolverError,
+    config_for_noise,
     epsilon_for_noise,
     reconstruct_joint,
     reconstruct_single,
@@ -69,11 +71,13 @@ __all__ = [
     "ShiftOperator",
     "SolverConfig",
     "SolverError",
+    "acquire",
     "add_noise",
     "apply_shift",
     "build_region_masks",
     "build_shift",
     "clamp01",
+    "config_for_noise",
     "decompose",
     "epsilon_for_noise",
     "fwht",

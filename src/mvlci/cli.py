@@ -27,17 +27,8 @@ from .experiments import run_measurement_increase, run_superres
 from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, read_pgm, write_pgm
 from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view, SCENE_KINDS
-from .sensing import (
-    MeasurementSet,
-    SensingSpec,
-    add_noise,
-    measure,
-    order_for_pixels,
-    read_mvm,
-    select_rows,
-    write_mvm,
-)
-from .solver import SolverConfig, epsilon_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
+from .sensing import acquire, read_mvm, write_mvm
+from .solver import SolverConfig, config_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
 
 
 class _UsageError(ValueError):
@@ -109,29 +100,17 @@ def cmd_scene(args) -> int:
 def cmd_measure(args) -> int:
     t0 = time.perf_counter()
     views = [read_pgm(p) for p in args.views]
-    shape = views[0].shape
-    if any(v.shape != shape for v in views):
+    if any(v.shape != views[0].shape for v in views):
         raise _UsageError("all views must have identical dimensions")
-    height, width = shape
-    pixels = width * height
-    order = order_for_pixels(pixels)
-    spec = SensingSpec(order=order, rows=select_rows(order, args.rate, args.seed),
-                       seed=args.seed, pixel_count=pixels)
-    values = []
-    for k, v in enumerate(views):
-        z = measure(v, spec)
-        if args.noise > 0.0:
-            z = add_noise(z, args.noise, args.seed + k + 1)
-        values.append(z)
-    ms = MeasurementSet(spec=spec, values=values, width=width, height=height,
-                        rate=args.rate, noise_sigma=args.noise)
+    ms = acquire(views, args.rate, args.seed, args.noise)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_mvm(out, ms)
     entries = _manifest_base("measure", {
         "views": ",".join(str(p) for p in args.views),
         "rate": repr(args.rate), "seed": args.seed, "noise": repr(args.noise),
-        "order": order, "rows": spec.count, "width": width, "height": height,
+        "order": ms.spec.order, "rows": ms.spec.count, "width": ms.width,
+        "height": ms.height,
         "out": out, "wall_time_s": f"{time.perf_counter() - t0:.3f}",
     })
     write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
@@ -145,11 +124,11 @@ def cmd_measure(args) -> int:
 def cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
     ms = read_mvm(args.meas)
-    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                       sigma=_parse_sigma(args.sigma), epsilon=args.epsilon,
-                       verbose=args.verbose)
-    if ms.noise_sigma > 0.0 and cfg.epsilon == 0.0:
-        cfg.epsilon = epsilon_for_noise(ms.noise_sigma, ms.values[0])
+    base = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
+                        sigma=_parse_sigma(args.sigma), epsilon=args.epsilon,
+                        verbose=args.verbose)
+    # the noise ball is sized from sensor 1, or from the one sensor solved
+    cfg = config_for_noise(base, ms.noise_sigma, ms.values[0])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
@@ -164,6 +143,7 @@ def cmd_reconstruct(args) -> int:
             if not 1 <= idx <= ms.sensor_count:
                 raise _UsageError(f"sensor {idx} not in measurement file")
             z = ms.values[idx - 1]
+            cfg = config_for_noise(base, ms.noise_sigma, z)
         res = reconstruct_single(z, ms.spec, ms.width, ms.height, cfg)
         written["recon"] = res.image
     elif args.mode == "joint":

@@ -27,9 +27,9 @@ import numpy as np
 
 from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, write_pgm
-from .scene import CameraGeometry, SceneModel, make_test_scene, parallax_shift, render_view
-from .sensing import MeasurementSet, SensingSpec, add_noise, measure, order_for_pixels, select_rows
-from .solver import SolverConfig, epsilon_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
+from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view
+from .sensing import acquire
+from .solver import SolverConfig, config_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
 
 CSV_HEADER = ["experiment", "case", "mode", "sensors", "rate",
               "psnr_db", "ssim", "iterations", "wall_time_s"]
@@ -210,27 +210,6 @@ def _far_geometry(width: int, height: int, dx: float) -> CameraGeometry:
     )
 
 
-def _measure_views(views, rate, seed, noise_sigma):
-    pixels = views[0].size
-    order = order_for_pixels(pixels)
-    spec = SensingSpec(order=order, rows=select_rows(order, rate, seed),
-                       seed=seed, pixel_count=pixels)
-    values = []
-    for k, v in enumerate(views):
-        z = measure(v, spec)
-        if noise_sigma > 0.0:
-            z = add_noise(z, noise_sigma, seed + k + 1)
-        values.append(z)
-    return spec, values
-
-
-def _solver_cfg(base: SolverConfig | None, noise_sigma, z) -> SolverConfig:
-    cfg = base or SolverConfig()
-    if noise_sigma > 0.0 and cfg.epsilon == 0.0:
-        cfg = SolverConfig(**{**cfg.__dict__, "epsilon": epsilon_for_noise(noise_sigma, z)})
-    return cfg
-
-
 def _metrics(truth, recon, mask=None):
     """PSNR/SSIM of a reconstruction clamped to the displayable range."""
     rec = clamp01(recon)
@@ -276,17 +255,16 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
         )
     if cfg is None:
         cfg = SolverConfig(sigma=1.0)
-    scale = 1  # views at scene resolution; margin only for the shift
-    pad = math.ceil(scale * abs(dx))
-    scene = make_test_scene(kind, scale * width + 2 * pad, scale * height, scene_seed)
+    pad = math.ceil(abs(dx))   # views at scene resolution; margin only for the shift
+    scene = make_test_scene(kind, width + 2 * pad, height, scene_seed)
     geo = _far_geometry(width, height, dx)
     views = [render_view(scene, geo, 1), render_view(scene, geo, 2)]
     dx_eff, _ = parallax_shift(geo, 2)
     masks = build_region_masks(dx_eff, 0.0, width, height)
     shift = build_shift(dx_eff, 0.0, width, height)
 
-    spec_low, z_low = _measure_views(views, rate_low, meas_seed, noise_sigma)
-    spec_high, z_high = _measure_views(views, rate_high, meas_seed, noise_sigma)
+    low = acquire(views, rate_low, meas_seed, noise_sigma)
+    high = acquire(views, rate_high, meas_seed, noise_sigma)
 
     report = ExperimentReport(
         experiment="measurement-increase",
@@ -299,12 +277,11 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
     report.images["truth_view2"] = views[1]
 
     single = {}
-    for rate, spec, zs, tag in ((rate_low, spec_low, z_low, "low"),
-                                (rate_high, spec_high, z_high, "high")):
-        for k in (1, 2):
+    for rate, ms, tag in ((rate_low, low, "low"), (rate_high, high, "high")):
+        for k, z in enumerate(ms.values, start=1):
             t0 = time.perf_counter()
-            res = reconstruct_single(zs[k - 1], spec, width, height,
-                                     _solver_cfg(cfg, noise_sigma, zs[k - 1]))
+            res = reconstruct_single(z, ms.spec, width, height,
+                                     config_for_noise(cfg, noise_sigma, z))
             dt = time.perf_counter() - t0
             quality, similarity = _metrics(views[k - 1], res.image)
             single[(tag, k)] = quality
@@ -315,8 +292,8 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
             report.images[f"single_{tag}_sensor{k}"] = res.image
 
     t0 = time.perf_counter()
-    joint = reconstruct_joint(z_low[0], z_low[1], spec_low, width, height,
-                              shift, masks, _solver_cfg(cfg, noise_sigma, z_low[0]))
+    joint = reconstruct_joint(*low.values, low.spec, width, height, shift, masks,
+                              config_for_noise(cfg, noise_sigma, low.values[0]))
     dt = time.perf_counter() - t0
     jq1, js1 = _metrics(views[0], joint.view1)
     jq2, js2 = _metrics(views[1], joint.view2)
@@ -412,7 +389,7 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
     masks = build_region_masks(dx_eff, 0.0, width, height)
     common_hr = {k: np.repeat(masks.common_for(k), 2, axis=1) for k in (1, 2)}
 
-    spec, zs = _measure_views(views, rate, meas_seed, noise_sigma)
+    ms = acquire(views, rate, meas_seed, noise_sigma)
 
     report = ExperimentReport(
         experiment="superres",
@@ -426,10 +403,10 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
     report.images["truth_view2"] = views[1]
 
     upsampled = {}
-    for k in (1, 2):
+    for k, z in enumerate(ms.values, start=1):
         t0 = time.perf_counter()
-        res = reconstruct_single(zs[k - 1], spec, width, height,
-                                 _solver_cfg(cfg, noise_sigma, zs[k - 1]))
+        res = reconstruct_single(z, ms.spec, width, height,
+                                 config_for_noise(cfg, noise_sigma, z))
         dt = time.perf_counter() - t0
         up = upsample2x_horizontal(res.image)
         quality, similarity = _metrics(truth_hr[k], up, common_hr[k])
@@ -442,8 +419,8 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
         report.images[f"upsampled_single_sensor{k}"] = up
 
     t0 = time.perf_counter()
-    sup = reconstruct_superres(zs[0], zs[1], spec, width, height, dx_eff,
-                               _solver_cfg(cfg, noise_sigma, zs[0]))
+    sup = reconstruct_superres(*ms.values, ms.spec, width, height, dx_eff,
+                               config_for_noise(cfg, noise_sigma, ms.values[0]))
     dt = time.perf_counter() - t0
     sup_psnr, sup_ssim = _metrics(truth_hr[1], sup.image, common_hr[1])
     report.cases.append(CaseResult(

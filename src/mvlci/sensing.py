@@ -211,6 +211,30 @@ class MeasurementSet:
         return len(self.values)
 
 
+def acquire(views, rate: float, seed: int, noise_sigma: float = 0.0) -> MeasurementSet:
+    """Measure equal-shape view images through one shared row selection.
+
+    Rows are select_rows(order, rate, seed) at the smallest order covering
+    a view; with noise_sigma > 0, sensor k (1-based) gets
+    add_noise(z_k, noise_sigma, seed + k).
+    """
+    height, width = views[0].shape
+    if any(v.shape != (height, width) for v in views):
+        raise ValueError("all views must have identical dimensions")
+    pixels = width * height
+    order = order_for_pixels(pixels)
+    spec = SensingSpec(order=order, rows=select_rows(order, rate, seed),
+                       seed=seed, pixel_count=pixels)
+    values = []
+    for k, view in enumerate(views, start=1):
+        z = measure(view, spec)
+        if noise_sigma > 0.0:
+            z = add_noise(z, noise_sigma, seed + k)
+        values.append(z)
+    return MeasurementSet(spec=spec, values=values, width=width, height=height,
+                          rate=rate, noise_sigma=noise_sigma)
+
+
 # ---------------------------------------------------------------------------
 # MVM1 container
 # ---------------------------------------------------------------------------

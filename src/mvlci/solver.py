@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -140,6 +140,14 @@ def epsilon_for_noise(noise_sigma: float, z: np.ndarray) -> float:
     return float(noise_sigma * math.sqrt(z.size) * np.mean(np.abs(z)))
 
 
+def config_for_noise(cfg: SolverConfig, noise_sigma: float, z: np.ndarray) -> SolverConfig:
+    """cfg with its fidelity ball sized for noise_sigma from z, unless cfg
+    already sets an epsilon or there is no noise."""
+    if noise_sigma > 0.0 and cfg.epsilon == 0.0:
+        return replace(cfg, epsilon=epsilon_for_noise(noise_sigma, z))
+    return cfg
+
+
 def estimate_norm_sq(spec: SensingSpec, iters: int = 30) -> float:
     """Deterministic power-iteration estimate of ||A||_2^2."""
     v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
@@ -159,7 +167,6 @@ def estimate_norm_sq(spec: SensingSpec, iters: int = 30) -> float:
 
 @dataclass
 class _Comp:
-    name: str
     shape: tuple
     mask: np.ndarray | None   # bool (h, w) or None for full support
     weight: float             # l1 weight on its TV term
@@ -185,16 +192,17 @@ class _Comp:
 class _Block:
     z: np.ndarray             # raw measurement vector
     terms: list               # [(comp_index, csr matrix or None), ...]
-    spec: SensingSpec         # row selection this sensor recorded
 
 
 class _Engine:
-    """One augmented-Lagrangian TV solve over a list of image components."""
+    """One augmented-Lagrangian TV solve over a list of image components,
+    with one block per sensor, all measured through the same spec."""
 
-    def __init__(self, comps, blocks, cfg: SolverConfig):
+    def __init__(self, comps, blocks, spec: SensingSpec, cfg: SolverConfig):
         self.comps = comps
-        self.cfg = cfg
         self.blocks = blocks
+        self.spec = spec
+        self.cfg = cfg
         # Normalize the stacked operator [A_1; A_2; ...] by the bulk of its
         # normal-matrix spectrum (sum of norm^2 over blocks, divided by the
         # order), not by the norm itself: each 0/1 aperture matrix has one
@@ -202,12 +210,10 @@ class _Engine:
         # ~ rows/4, and scaling by the outlier would starve the data term
         # relative to the TV penalty.  One shared scale keeps the stacked
         # problem identical to the same rows presented as a single block.
-        norms = {}
-        for b in blocks:
-            if id(b.spec) not in norms:
-                norms[id(b.spec)] = estimate_norm_sq(b.spec)
-        total = sum(norms[id(b.spec)] for b in blocks)
-        self.scale = math.sqrt(total / blocks[0].spec.order)
+        # The total stays a sum over blocks: k * norm_sq can round
+        # differently from adding norm_sq k times.
+        norm_sq = estimate_norm_sq(spec)
+        self.scale = math.sqrt(sum(norm_sq for _ in blocks) / spec.order)
         self.zbar = [np.asarray(b.z, dtype=np.float64) / self.scale for b in blocks]
         self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
         self.eps = cfg.epsilon / self.scale
@@ -227,13 +233,12 @@ class _Engine:
         for ci, op in b.terms:
             v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
             img = v.copy() if img is None else img + v
-        return _measure_flat(img, b.spec) / self.scale
+        return _measure_flat(img, self.spec) / self.scale
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
-        b = self.blocks[bi]
-        g = _adjoint_flat(r, b.spec) / self.scale
-        for ti, (ci, op) in enumerate(b.terms):
+        g = _adjoint_flat(r, self.spec) / self.scale
+        for ti, (ci, op) in enumerate(self.blocks[bi].terms):
             v = g if op is None else self.ops_t[(bi, ti)] @ g
             out[ci] += factor * v.reshape(self.comps[ci].shape)
 
@@ -248,10 +253,11 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self):
+        """Solve; returns the component images and a result carrying every
+        field but the mode-specific images and sigma."""
         cfg = self.cfg
         nb = len(self.blocks)
-        mu = cfg.penalty
-        beta = cfg.penalty
+        mu = cfg.penalty    # one penalty on both the TV and the data splits
         cap = cfg.penalty * cfg.continuation_cap
 
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
@@ -261,7 +267,7 @@ class _Engine:
         for bi in range(nb):
             self._backward(self.zbar[bi], bi, xl, 1.0)
         for ci in range(len(self.comps)):
-            xl[ci] /= float(self.blocks[0].spec.order)
+            xl[ci] /= float(self.spec.order)
         self._project(xl)
 
         wl = [e * tv_grad(x) for e, x in zip(self.edges, xl)]
@@ -280,8 +286,8 @@ class _Engine:
             iterations = t
             # shrinkage step on the gradient splits
             for ci, c in enumerate(self.comps):
-                wl[ci] = tv_shrink(self.edges[ci] * tv_grad(xl[ci]) + ll[ci] / beta,
-                                   c.weight / beta)
+                wl[ci] = tv_shrink(self.edges[ci] * tv_grad(xl[ci]) + ll[ci] / mu,
+                                   c.weight / mu)
             # fidelity targets: equality, or projection onto the eps ball
             targets = []
             for bi in range(nb):
@@ -294,14 +300,14 @@ class _Engine:
                     targets.append(self.zbar[bi] + shrink * r)
 
             # quadratic subproblem by projected conjugate gradients
-            rhs = [beta * tv_grad_adjoint(wl[ci] - ll[ci] / beta)
+            rhs = [mu * tv_grad_adjoint(wl[ci] - ll[ci] / mu)
                    for ci in range(len(self.comps))]
             for bi in range(nb):
                 self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
             self._project(rhs)
 
-            def apply_h(pl, mu=mu, beta=beta):
-                out = [beta * tv_grad_adjoint(e * tv_grad(p))
+            def apply_h(pl, mu=mu):
+                out = [mu * tv_grad_adjoint(e * tv_grad(p))
                        for e, p in zip(self.edges, pl)]
                 for bi in range(nb):
                     self._backward(self._forward(pl, bi), bi, out, mu)
@@ -321,7 +327,7 @@ class _Engine:
             for bi in range(nb):
                 nu[bi] = nu[bi] + mu * (fwd[bi] - targets[bi])
             for ci in range(len(self.comps)):
-                ll[ci] = ll[ci] + beta * (self.edges[ci] * tv_grad(xl[ci]) - wl[ci])
+                ll[ci] = ll[ci] + mu * (self.edges[ci] * tv_grad(xl[ci]) - wl[ci])
 
             obj = sum(c.weight * float(np.abs(e * tv_grad(x)).sum())
                       for c, e, x in zip(self.comps, self.edges, xl))
@@ -350,17 +356,15 @@ class _Engine:
 
             if t % cfg.continuation_every == 0:
                 mu = min(2.0 * mu, cap)
-                beta = min(2.0 * beta, cap)
 
-        return {
-            "x": xl,
-            "iterations": iterations,
-            "converged": converged,
-            "residuals": last_res,
-            "objective": obj_hist[-1] if obj_hist else 0.0,
-            "objective_history": np.asarray(obj_hist),
-            "residual_history": np.asarray(res_hist),
-        }
+        return xl, ReconstructionResult(
+            iterations=iterations,
+            converged=converged,
+            residuals=last_res,
+            objective=obj_hist[-1] if obj_hist else 0.0,
+            objective_history=np.asarray(obj_hist),
+            residual_history=np.asarray(res_hist),
+        )
 
     def _cg(self, apply_h, x0, rhs):
         cfg = self.cfg
@@ -403,6 +407,16 @@ def _resolve_sigma(cfg: SolverConfig, masks) -> float:
     return 2.0 * nc / nd
 
 
+def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
+    """The measurement vectors of one solve, checked and as float64."""
+    if width * height != spec.pixel_count:
+        raise ValueError("width*height must equal spec.pixel_count")
+    zs = [np.asarray(z, dtype=np.float64) for z in zs]
+    if any(z.shape != zs[0].shape for z in zs):
+        raise ValueError("z1 and z2 must have the same length")
+    return zs
+
+
 def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int,
                        cfg: SolverConfig | None = None) -> ReconstructionResult:
     """TV reconstruction of one view from its measurements.
@@ -412,22 +426,13 @@ def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int
     independent fidelity constraint.
     """
     cfg = cfg or SolverConfig()
-    if width * height != spec.pixel_count:
-        raise ValueError("width*height must equal spec.pixel_count")
-    z = np.asarray(z, dtype=np.float64)
+    (z,) = _measurements(spec, width, height, z)
     zs = z[None, :] if z.ndim == 1 else z
-    comps = [_Comp("image", (height, width), None, 1.0)]
-    blocks = [_Block(zrow, [(0, None)], spec) for zrow in zs]
-    out = _Engine(comps, blocks, cfg).run()
-    return ReconstructionResult(
-        image=out["x"][0],
-        iterations=out["iterations"],
-        converged=out["converged"],
-        residuals=out["residuals"],
-        objective=out["objective"],
-        objective_history=out["objective_history"],
-        residual_history=out["residual_history"],
-    )
+    comps = [_Comp((height, width), None, 1.0)]
+    blocks = [_Block(zrow, [(0, None)]) for zrow in zs]
+    (image,), res = _Engine(comps, blocks, spec, cfg).run()
+    res.image = image
+    return res
 
 
 def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
@@ -440,12 +445,7 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     covers both measurement vectors.
     """
     cfg = cfg or SolverConfig()
-    if width * height != spec.pixel_count:
-        raise ValueError("width*height must equal spec.pixel_count")
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape:
-        raise ValueError("z1 and z2 must have the same length")
+    z1, z2 = _measurements(spec, width, height, z1, z2)
     if (shift.width, shift.height) != (width, height):
         raise ValueError("shift dimensions disagree with the image size")
     if masks.common.shape != (height, width):
@@ -454,9 +454,9 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
         raise ValueError("shift and masks were built for different offsets")
     sigma = _resolve_sigma(cfg, masks)
     comps = [
-        _Comp("common", (height, width), masks.common, 1.0),
-        _Comp("disjoint1", (height, width), masks.disjoint[0], sigma / 2.0),
-        _Comp("disjoint2", (height, width), masks.disjoint[1], sigma / 2.0),
+        _Comp((height, width), masks.common, 1.0),
+        _Comp((height, width), masks.disjoint[0], sigma / 2.0),
+        _Comp((height, width), masks.disjoint[1], sigma / 2.0),
     ]
     # Sensor 2 sees the first view shifted: for integer dx the shift of
     # I_D1 falls outside the grid and the constraint reduces to the usual
@@ -464,25 +464,14 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     # I_D1 leaks half a tap into the last common column of view 2, so the
     # shift is routed over I_C + I_D1 to keep the model exact.
     blocks = [
-        _Block(z1, [(0, None), (1, None)], spec),
-        _Block(z2, [(0, shift.matrix), (1, shift.matrix), (2, None)], spec),
+        _Block(z1, [(0, None), (1, None)]),
+        _Block(z2, [(0, shift.matrix), (1, shift.matrix), (2, None)]),
     ]
-    out = _Engine(comps, blocks, cfg).run()
-    common, d1, d2 = out["x"]
-    return ReconstructionResult(
-        common=common,
-        disjoint1=d1,
-        disjoint2=d2,
-        view1=common + d1,
-        view2=apply_shift(shift, common + d1) + d2,
-        iterations=out["iterations"],
-        converged=out["converged"],
-        residuals=out["residuals"],
-        objective=out["objective"],
-        sigma=sigma,
-        objective_history=out["objective_history"],
-        residual_history=out["residual_history"],
-    )
+    (common, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
+    res.common, res.disjoint1, res.disjoint2, res.sigma = common, d1, d2, sigma
+    res.view1 = common + d1
+    res.view2 = apply_shift(shift, res.view1) + d2
+    return res
 
 
 def _pair_average_matrix(width: int, height: int) -> sparse.csr_matrix:
@@ -508,12 +497,7 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     and raises ValueError.
     """
     cfg = cfg or SolverConfig()
-    if width * height != spec.pixel_count:
-        raise ValueError("width*height must equal spec.pixel_count")
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape:
-        raise ValueError("z1 and z2 must have the same length")
+    z1, z2 = _measurements(spec, width, height, z1, z2)
     if float(dx) == int(dx):
         raise ValueError(
             "super-resolution needs a fractional horizontal offset; "
@@ -525,27 +509,16 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     hr_shift = build_shift(2.0 * dx, 0.0, 2 * width, height)
     s2 = (s1 @ hr_shift.matrix).tocsr()
     comps = [
-        _Comp("highres", (height, 2 * width), None, 1.0),
-        _Comp("disjoint1", (height, width), masks.disjoint[0], sigma / 2.0),
-        _Comp("disjoint2", (height, width), masks.disjoint[1], sigma / 2.0),
+        _Comp((height, 2 * width), None, 1.0),
+        _Comp((height, width), masks.disjoint[0], sigma / 2.0),
+        _Comp((height, width), masks.disjoint[1], sigma / 2.0),
     ]
     blocks = [
-        _Block(z1, [(0, s1), (1, None)], spec),
-        _Block(z2, [(0, s2), (2, None)], spec),
+        _Block(z1, [(0, s1), (1, None)]),
+        _Block(z2, [(0, s2), (2, None)]),
     ]
-    out = _Engine(comps, blocks, cfg).run()
-    hr, d1, d2 = out["x"]
-    return ReconstructionResult(
-        image=hr,
-        disjoint1=d1,
-        disjoint2=d2,
-        view1=(s1 @ hr.ravel()).reshape(height, width) + d1,
-        view2=(s2 @ hr.ravel()).reshape(height, width) + d2,
-        iterations=out["iterations"],
-        converged=out["converged"],
-        residuals=out["residuals"],
-        objective=out["objective"],
-        sigma=sigma,
-        objective_history=out["objective_history"],
-        residual_history=out["residual_history"],
-    )
+    (hr, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
+    res.image, res.disjoint1, res.disjoint2, res.sigma = hr, d1, d2, sigma
+    res.view1 = (s1 @ hr.ravel()).reshape(height, width) + d1
+    res.view2 = (s2 @ hr.ravel()).reshape(height, width) + d2
+    return res

@@ -6,6 +6,7 @@ import pytest
 from mvlci.cli import main
 from mvlci.pgm import read_pgm, write_pgm
 from mvlci.sensing import read_mvm
+from mvlci.solver import epsilon_for_noise
 
 
 def read_manifest(path):
@@ -198,6 +199,24 @@ def test_reconstruct_superres_doubles_width(offset_pair, tmp_path):
                  "--out", str(out)]) == 0
     hr = read_pgm(out / "superres.pgm")
     assert hr.shape == (16, 32)
+
+
+def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
+    """add_noise scales each sensor's noise by its own mean |z|, so the
+    fidelity ball of a one-sensor solve comes from that sensor's vector."""
+    assert main(["scene", "--kind", "checker-text", "--width", "46",
+                 "--height", "16", "--seed", "5", "--views",
+                 "--out", str(tmp_path / "scene.pgm")]) == 0
+    assert main(["measure", "--views", str(tmp_path / "view1.pgm"),
+                 str(tmp_path / "view2.pgm"), "--rate", "0.5", "--seed", "9",
+                 "--noise", "0.05", "--out", str(tmp_path / "m.mvm")]) == 0
+    assert main(["reconstruct", "--meas", str(tmp_path / "m.mvm"),
+                 "--sensor", "2", "--max-iters", "5",
+                 "--out", str(tmp_path / "rec")]) == 0
+    values = read_mvm(tmp_path / "m.mvm").values
+    epsilon = float(read_manifest(tmp_path / "rec" / "manifest.txt")["epsilon"])
+    assert epsilon == epsilon_for_noise(0.05, values[1])
+    assert epsilon != epsilon_for_noise(0.05, values[0])
 
 
 @pytest.mark.parametrize("flags", [

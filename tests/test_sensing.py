@@ -9,6 +9,7 @@ from mvlci.scene import make_test_scene
 from mvlci.sensing import (
     MeasurementSet,
     SensingSpec,
+    acquire,
     add_noise,
     fwht,
     measure,
@@ -287,6 +288,29 @@ def test_add_noise_is_deterministic_and_scaled():
 def test_add_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_noise(np.ones(4), -0.1, 0)
+
+
+# ---------------------------------------------------------------------------
+# acquisition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sensors", [1, 3])
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_acquire_is_measure_then_add_noise_per_sensor(sensors, noise):
+    views = [make_test_scene("blocks", 24, 16, 3 + k).base for k in range(sensors)]
+    ms = acquire(views, 0.25, 17, noise)
+    spec = make_spec(512, 0.25, 17, pixel_count=24 * 16)
+    assert ms.spec.order == spec.order and ms.spec.seed == 17
+    assert np.array_equal(ms.spec.rows, spec.rows)
+    assert (ms.width, ms.height, ms.rate, ms.noise_sigma) == (24, 16, 0.25, noise)
+    assert ms.sensor_count == sensors
+    for k, (view, z) in enumerate(zip(views, ms.values), start=1):
+        assert np.array_equal(z, add_noise(measure(view, spec), noise, 17 + k))
+
+
+def test_acquire_rejects_views_of_different_shapes():
+    with pytest.raises(ValueError, match="identical dimensions"):
+        acquire([np.zeros((32, 64)), np.zeros((64, 32))], 0.25, 1)
 
 
 # ---------------------------------------------------------------------------

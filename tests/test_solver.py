@@ -107,8 +107,8 @@ def test_fidelity_gradient_passes_finite_difference_check():
     spec = make_spec(64, 0.5, 5, pixel_count=64)
     rng = np.random.default_rng(5)
     z = measure(rng.uniform(size=64), spec)
-    comps = [_Comp("image", (8, 8), None, 1.0)]
-    engine = _Engine(comps, [_Block(z, [(0, None)], spec)], SolverConfig())
+    comps = [_Comp((8, 8), None, 1.0)]
+    engine = _Engine(comps, [_Block(z, [(0, None)])], spec, SolverConfig())
     x = [rng.standard_normal((8, 8))]
     _, grad = fidelity_value_grad(engine, x)
     h = 1e-6
@@ -128,7 +128,7 @@ def test_fidelity_gradient_passes_finite_difference_check():
 def test_edge_mask_excludes_support_boundary():
     mask = np.zeros((4, 6), dtype=bool)
     mask[:, :3] = True
-    e = _Comp("c", (4, 6), mask, 1.0).edge_mask()
+    e = _Comp((4, 6), mask, 1.0).edge_mask()
     # horizontal differences across the support edge (col 2 -> 3) are off
     assert np.all(e[0][:, 2] == 0.0)
     assert np.all(e[0][:, :2] == 1.0)

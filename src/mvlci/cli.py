@@ -64,13 +64,22 @@ def cmd_scene(args) -> int:
     if args.views:
         # two low-res views rendered from a window of the scene at 2x
         # horizontal scale; the margin covers the second sensor's shift
+        if not math.isfinite(args.dx):
+            raise _UsageError(f"--dx must be finite, got {args.dx}")
         pad = math.ceil(2.0 * abs(args.dx))
         aperture_w = (args.width - 2 * pad) // 2
         aperture_h = args.height
-        if aperture_w < 8:
+        # render_view scales by width // aperture_w, which must come out 2:
+        # width = 2 pad + 2 aperture_w + odd with odd in {0, 1} needs
+        # aperture_w > 2 pad + odd
+        if aperture_w < 8 or args.width // aperture_w != 2:
+            smallest = 2 * pad + 2 * max(8, 2 * pad + 1)
+            every = 2 * pad + 2 * max(8, 2 * pad + 2)
             raise _UsageError(
-                f"scene width {args.width} too small for views with dx={args.dx}; "
-                f"need at least {2 * 8 + 2 * pad}"
+                f"scene width {args.width} does not give two views of at least "
+                f"8 columns at 2x scale with dx={args.dx}; the smallest width "
+                f"that does is {smallest}"
+                + (f", and every width from {every} up" if every > smallest else "")
             )
         geo = CameraGeometry(
             aperture_width=aperture_w, aperture_height=aperture_h,

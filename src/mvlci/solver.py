@@ -28,6 +28,7 @@ relax to ||A x - z|| <= epsilon (set it from noise via epsilon_for_noise).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -63,6 +64,12 @@ class SolverConfig:
     log_stream: object = None
 
     def __post_init__(self):
+        for name in ("rel_tol", "penalty", "continuation_cap", "epsilon", "cg_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("max_iters", "continuation_every", "cg_max_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0.0:
@@ -76,10 +83,14 @@ class SolverConfig:
         if isinstance(self.sigma, str):
             if self.sigma != "auto":
                 raise ValueError("sigma must be 'auto' or a positive number")
-        elif self.sigma <= 0.0:
+        elif not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be 'auto' or a positive number")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
+        if self.cg_max_iters < 0:
+            raise ValueError("cg_max_iters must be >= 0")
+        if self.cg_tol < 0.0:
+            raise ValueError("cg_tol must be >= 0")
 
 
 @dataclass
@@ -149,15 +160,30 @@ def config_for_noise(cfg: SolverConfig, noise_sigma: float, z: np.ndarray) -> So
 
 
 def estimate_norm_sq(spec: SensingSpec, iters: int = 30) -> float:
-    """Deterministic power-iteration estimate of ||A||_2^2."""
+    """Deterministic power-iteration estimate of ||A||_2^2: lam_iters of
+    v_t = w_t / lam_t, w_t = A^T A v_{t-1}, lam_t = ||w_t||.
+
+    The step is a fixed map of v, so once v_t equals v_{t-1} or v_{t-2}
+    bit for bit, every later (v, lam) repeats with period 1 or 2 and
+    lam_iters is already known: lam_t when iters - t is a multiple of the
+    period, else lam_{t-1}.  Returning it there gives exactly the value of
+    all `iters` steps (most specs reach a fixed point within 4-7 steps;
+    some settle into a 2-cycle).  No tolerance is involved.
+    """
     v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
     lam = 1.0
-    for _ in range(iters):
+    v_back2 = None               # v_{t-2}; v and lam hold step t-1
+    for t in range(1, iters + 1):
         w = _adjoint_flat(_measure_flat(v, spec), spec)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
+        lam_t = float(np.linalg.norm(w))
+        if lam_t == 0.0:
             return 1.0
-        v = w / lam
+        v_t = w / lam_t
+        if np.array_equal(v_t, v):
+            return lam_t
+        if v_back2 is not None and np.array_equal(v_t, v_back2):
+            return lam_t if (iters - t) % 2 == 0 else lam
+        v_back2, v, lam = v, v_t, lam_t
     return lam
 
 
@@ -242,6 +268,23 @@ class _Engine:
             v = g if op is None else self.ops_t[(bi, ti)] @ g
             out[ci] += factor * v.reshape(self.comps[ci].shape)
 
+    def _forwards(self, xl):
+        """A_bar B_b x for every block b."""
+        return [self._forward(xl, bi) for bi in range(len(self.blocks))]
+
+    def _grads(self, xl):
+        """E_c D x_c for every component c: its masked TV differences."""
+        return [e * tv_grad(x) for e, x in zip(self.edges, xl)]
+
+    def _normal(self, gl, fl, mu):
+        """H x = mu (D^T g + sum_b (A_bar B_b)^T f_b), projected, from
+        gl = _grads(x) and fl = _forwards(x)."""
+        out = [mu * tv_grad_adjoint(g) for g in gl]
+        for bi, f in enumerate(fl):
+            self._backward(f, bi, out, mu)
+        self._project(out)
+        return out
+
     def _project(self, xl):
         for c, x in zip(self.comps, xl):
             if c.mask is not None:
@@ -270,10 +313,16 @@ class _Engine:
             xl[ci] /= float(self.spec.order)
         self._project(xl)
 
-        wl = [e * tv_grad(x) for e, x in zip(self.edges, xl)]
+        # g = E D x and fwd = A_bar B x are taken once per new x and carried
+        # to all their uses: the multiplier update and the objective, then
+        # the next shrink, the next fidelity targets and the next CG's
+        # warm-start residual.  Each use sees the same bits it would get by
+        # recomputing the product on the same x.
+        g = self._grads(xl)
+        fwd = self._forwards(xl)
+        wl = list(g)
         ll = [np.zeros_like(w) for w in wl]       # multipliers for D x = w
         nu = [np.zeros_like(z) for z in self.zbar]  # multipliers for A x = z
-        fwd = [self._forward(xl, bi) for bi in range(nb)]
 
         obj_hist = []
         res_hist = []
@@ -286,8 +335,7 @@ class _Engine:
             iterations = t
             # shrinkage step on the gradient splits
             for ci, c in enumerate(self.comps):
-                wl[ci] = tv_shrink(self.edges[ci] * tv_grad(xl[ci]) + ll[ci] / mu,
-                                   c.weight / mu)
+                wl[ci] = tv_shrink(g[ci] + ll[ci] / mu, c.weight / mu)
             # fidelity targets: equality, or projection onto the eps ball
             targets = []
             for bi in range(nb):
@@ -306,31 +354,28 @@ class _Engine:
                 self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
             self._project(rhs)
 
-            def apply_h(pl, mu=mu):
-                out = [mu * tv_grad_adjoint(e * tv_grad(p))
-                       for e, p in zip(self.edges, pl)]
-                for bi in range(nb):
-                    self._backward(self._forward(pl, bi), bi, out, mu)
-                self._project(out)
-                return out
-
             x_prev_norm = math.sqrt(self._dot(xl, xl))
-            x_old = [x.copy() for x in xl]
-            xl = self._cg(apply_h, xl, rhs)
+            # the warm-start residual reuses g and fwd; both are dropped
+            # before CG allocates its work lists
+            r0 = [b - h for b, h in zip(rhs, self._normal(g, fwd, mu))]
+            g = fwd = None
+            x_old = xl    # _cg iterates on copies
+            xl = self._cg(xl, rhs, r0, mu)
             self._project(xl)
 
             if not all(np.all(np.isfinite(x)) for x in xl):
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
             # dual updates
-            fwd = [self._forward(xl, bi) for bi in range(nb)]
+            fwd = self._forwards(xl)
+            g = self._grads(xl)
             for bi in range(nb):
                 nu[bi] = nu[bi] + mu * (fwd[bi] - targets[bi])
             for ci in range(len(self.comps)):
-                ll[ci] = ll[ci] + mu * (self.edges[ci] * tv_grad(xl[ci]) - wl[ci])
+                ll[ci] = ll[ci] + mu * (g[ci] - wl[ci])
 
-            obj = sum(c.weight * float(np.abs(e * tv_grad(x)).sum())
-                      for c, e, x in zip(self.comps, self.edges, xl))
+            obj = sum(c.weight * float(np.abs(gc).sum())
+                      for c, gc in zip(self.comps, g))
             res_abs = [float(np.linalg.norm(fwd[bi] - self.zbar[bi]))
                        for bi in range(nb)]
             res_rel = [res_abs[bi] / (self.znorm[bi] if self.znorm[bi] > 0.0 else 1.0)
@@ -366,18 +411,19 @@ class _Engine:
             residual_history=np.asarray(res_hist),
         )
 
-    def _cg(self, apply_h, x0, rhs):
+    def _cg(self, x0, rhs, r0, mu):
+        """Conjugate gradients for H x = rhs at penalty mu from x0, whose
+        residual rhs - H x0 the caller passes as r0 (it is consumed)."""
         cfg = self.cfg
         xl = [x.copy() for x in x0]
-        hx = apply_h(xl)
-        rl = [b - h for b, h in zip(rhs, hx)]
+        rl = r0
         pl = [r.copy() for r in rl]
         rs = self._dot(rl, rl)
         target = cfg.cg_tol * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
         for _ in range(cfg.cg_max_iters):
             if math.sqrt(rs) <= target:
                 break
-            hp = apply_h(pl)
+            hp = self._normal(self._grads(pl), self._forwards(pl), mu)
             denom = self._dot(pl, hp)
             if denom <= 0.0:
                 break

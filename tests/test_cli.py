@@ -89,6 +89,33 @@ def test_scene_too_narrow_for_views_is_a_usage_error(tmp_path):
                  "--dx", "3.5", "--out", str(tmp_path / "s.pgm")]) == 2
 
 
+@pytest.mark.parametrize("width", [43, 45])
+def test_scene_width_off_the_2x_view_scale_is_a_usage_error(tmp_path, capsys, width):
+    """Views are cut at 2x horizontal scale; at dx=3.5 a 43 or 45 wide
+    scene would give a 3x window, so it is refused up front."""
+    assert main(["scene", "--width", str(width), "--height", "16", "--views",
+                 "--out", str(tmp_path / "s.pgm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mvlci:")
+    assert "smallest width that does is 44, and every width from 46 up" in err
+    assert not (tmp_path / "view1.pgm").exists()
+
+
+@pytest.mark.parametrize("dx", ["inf", "nan"])
+def test_scene_views_need_a_finite_offset(tmp_path, capsys, dx):
+    assert main(["scene", "--width", "64", "--height", "16", "--views",
+                 "--dx", dx, "--out", str(tmp_path / "s.pgm")]) == 2
+    assert capsys.readouterr().err.startswith("mvlci:")
+
+
+@pytest.mark.parametrize("width", [44, 47])
+def test_scene_views_at_the_narrowest_working_widths(tmp_path, width):
+    assert main(["scene", "--width", str(width), "--height", "16", "--views",
+                 "--out", str(tmp_path / "s.pgm")]) == 0
+    for k in (1, 2):
+        assert read_pgm(tmp_path / f"view{k}.pgm").shape == (16, (width - 14) // 2)
+
+
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
@@ -229,6 +256,18 @@ def test_reconstruct_usage_errors(colocated, tmp_path, flags):
     code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
                  "--out", str(tmp_path / "x")] + flags)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"],
+    ["--epsilon", "nan"],
+    ["--sigma", "inf"],
+])
+def test_reconstruct_rejects_non_finite_settings(colocated, tmp_path, capsys, flags):
+    code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
+                 "--out", str(tmp_path / "x")] + flags)
+    assert code == 1
+    assert "mvlci:" in capsys.readouterr().err
 
 
 def test_joint_needs_two_sensors(tmp_path):

@@ -1,14 +1,16 @@
 """TV pieces, the augmented-Lagrangian engine and the reconstruction APIs."""
 
 import io
+import math
 import re
 
 import numpy as np
 import pytest
 
+from mvlci import sensing, solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
-from mvlci.sensing import SensingSpec, measure, select_rows
+from mvlci.sensing import SensingSpec, _adjoint_flat, _measure_flat, measure, select_rows
 from mvlci.solver import (
     SolverConfig,
     _Block,
@@ -87,6 +89,90 @@ def test_estimate_norm_sq_matches_dense_operator_norm():
     assert abs(estimate_norm_sq(spec) - dense) < 1e-9 * dense
 
 
+def power_iteration(spec, iters=30):
+    """The full-length power loop: estimate_norm_sq must match it bit for
+    bit at every iters."""
+    v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
+    lam = 1.0
+    for _ in range(iters):
+        w = _adjoint_flat(_measure_flat(v, spec), spec)
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            return 1.0
+        v = w / lam
+    return lam
+
+
+# (order, rate, seed, pixel_count).  (4096, 0.125, 44) ends in a 2-cycle,
+# v_7 == v_5, so odd and even iters give different values; (4096, 0.5, 43,
+# 3072) tells lam_{t-1} from lam_{t-2} on its 2-cycle.
+NORM_SPECS = [
+    (order, rate, seed, pixels)
+    for order in (16, 64, 256, 1024)
+    for rate in (0.05, 0.25, 1.0)
+    for seed in (0, 44)
+    for pixels in (order // 2 + 1, order - 1, order)
+] + [
+    (4096, 0.125, 44, 4096), (4096, 0.5, 43, 3072), (4096, 0.25, 7, 4000),
+    (16384, 0.125, 42, 12000),
+]
+
+
+@pytest.mark.parametrize("order,rate,seed,pixels", NORM_SPECS)
+def test_estimate_norm_sq_is_bit_identical_to_the_full_loop(order, rate, seed, pixels):
+    spec = make_spec(order, rate, seed, pixel_count=pixels)
+    for iters in range(0, 31):
+        assert estimate_norm_sq(spec, iters) == power_iteration(spec, iters), iters
+
+
+@pytest.mark.parametrize("rate,seed", [(0.125, 42), (0.25, 43)])
+def test_estimate_norm_sq_at_65536_stops_early_and_exactly(monkeypatch, rate, seed):
+    """The benchmark's 256x256 specs: a dozen transforms, not sixty."""
+    spec = make_spec(65536, rate, seed, pixel_count=65536)
+    calls = []
+    fwht = sensing.fwht
+
+    def counting_fwht(x):
+        calls.append(1)
+        return fwht(x)
+
+    monkeypatch.setattr(sensing, "fwht", counting_fwht)
+    value = estimate_norm_sq(spec)
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    for iters in (1, 2, 3, 5, 8, 30):
+        assert estimate_norm_sq(spec, iters) == power_iteration(spec, iters), iters
+    assert value == estimate_norm_sq(spec, 30)
+
+
+def test_joint_solve_is_bit_identical_with_the_full_power_loop(monkeypatch):
+    """The stop rule turns a last-ulp change in the operator scale into a
+    different stopping iteration, so a solve that crosses the penalty
+    doubling at iteration 50 must not move at all."""
+    size = 64
+    masks = build_region_masks(3.5, 0.0, size, size)
+    shift = build_shift(3.5, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(4096, 0.125, 42, pixel_count=size * size)
+
+    def solve():
+        return reconstruct_joint(measure(v1, spec), measure(v2, spec), spec,
+                                 size, size, shift, masks,
+                                 SolverConfig(sigma=1.0))
+
+    fast = solve()
+    monkeypatch.setattr(solver, "estimate_norm_sq", power_iteration)
+    ref = solve()
+    assert fast.iterations == ref.iterations > 50
+    assert fast.converged == ref.converged
+    assert fast.objective == ref.objective
+    for name in ("common", "disjoint1", "disjoint2", "view1", "view2",
+                 "objective_history", "residual_history"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+    assert fast.residuals == ref.residuals
+
+
 # ---------------------------------------------------------------------------
 # engine internals
 # ---------------------------------------------------------------------------
@@ -150,6 +236,20 @@ def test_edge_mask_excludes_support_boundary():
     {"sigma": "bogus"},
     {"sigma": -1.0},
     {"epsilon": -0.5},
+    {"rel_tol": math.nan},
+    {"rel_tol": math.inf},
+    {"epsilon": math.nan},
+    {"epsilon": math.inf},
+    {"penalty": math.inf},
+    {"continuation_cap": math.nan},
+    {"sigma": math.nan},
+    {"sigma": math.inf},
+    {"cg_tol": math.nan},
+    {"cg_tol": -1.0},
+    {"cg_max_iters": -5},
+    {"max_iters": math.inf},
+    {"continuation_every": math.nan},
+    {"cg_max_iters": 2.5},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -1,0 +1,167 @@
+"""One SHA-256 over the outputs of a fixed set of solves, studies and CLI runs.
+
+Two source trees that print the same digest give the same bits on every
+output covered: each field of each ReconstructionResult (arrays by dtype,
+shape and bytes; scalars and lists by repr), the fig3/fig4 reports, and
+the files `mvlci measure` and `mvlci reconstruct` write (manifest
+`wall_time_s` lines excluded).  The package is imported from PYTHONPATH,
+so the digest of another checkout is
+
+    PYTHONPATH=<checkout>/src python tools/solve_digest.py
+
+Covered at full size (the default): single/joint/superres at 64x64 with
+SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
+seven-vector stacked single solve with epsilon > 0, fig3/fig4 at noise 0
+and 0.02, and the CLI pipeline (3 views measured at noise 0.05, then
+`--sensor 1`, `--sensor all`, joint and superres); 10-20 s on two cores.
+`--reduced` runs the three modes and the stacked solve at 16x16 and the
+CLI, each for at most 20 iterations (a fraction of a second; the test
+suite runs it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mvlci.cli import main as cli_main
+from mvlci.experiments import run_measurement_increase, run_superres
+from mvlci.geometry import apply_shift, build_region_masks, build_shift
+from mvlci.scene import CameraGeometry, make_test_scene, render_view
+from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, select_rows
+from mvlci.solver import (
+    SolverConfig,
+    epsilon_for_noise,
+    reconstruct_joint,
+    reconstruct_single,
+    reconstruct_superres,
+)
+
+DX = 3.5
+
+
+def _put(h, label: str, value) -> None:
+    h.update(label.encode() + b"\0")
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+    h.update(b"\0")
+
+
+def _put_result(h, label: str, res) -> None:
+    for f in dataclasses.fields(res):
+        _put(h, f"{label}.{f.name}", getattr(res, f.name))
+
+
+def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:
+    order = order_for_pixels(size * size)
+    return SensingSpec(order=order, rows=select_rows(order, rate, seed),
+                       seed=seed, pixel_count=size * size)
+
+
+def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
+    """Single, joint and superres on one blocks / checker-text input."""
+    masks = build_region_masks(DX, 0.0, size, size)
+    shift = build_shift(DX, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = _spec(size, 0.125)
+    z1, z2 = measure(v1, spec), measure(v2, spec)
+    _put_result(h, f"{label}.single",
+                reconstruct_single(z1, spec, size, size, cfg))
+    _put_result(h, f"{label}.joint",
+                reconstruct_joint(z1, z2, spec, size, size, shift, masks, cfg))
+
+    geo = CameraGeometry(aperture_width=size, aperture_height=size,
+                         sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
+                         sensor_plane_distance=1.0, scene_distance=1.0e7)
+    pad = math.ceil(2.0 * DX)
+    text = make_test_scene("checker-text", 2 * size + 2 * pad, size, 7)
+    spec = _spec(size, 0.25)
+    z1, z2 = (measure(render_view(text, geo, k), spec) for k in (1, 2))
+    _put_result(h, f"{label}.superres",
+                reconstruct_superres(z1, z2, spec, size, size, DX, cfg))
+
+
+def _stacked(h, size: int, max_iters: int) -> None:
+    """Seven noisy vectors of one view in one stacked solve, epsilon > 0."""
+    v = make_test_scene("gradient-bars", size, size, 3).base
+    spec = _spec(size, 0.25, seed=5)
+    z = np.stack([add_noise(measure(v, spec), 0.02, 100 + k) for k in range(7)])
+    cfg = SolverConfig(epsilon=epsilon_for_noise(0.02, z[0]), max_iters=max_iters)
+    _put_result(h, "stacked", reconstruct_single(z, spec, size, size, cfg))
+
+
+def _studies(h) -> None:
+    for noise in (0.0, 0.02):
+        for name, run in (("fig3", run_measurement_increase), ("fig4", run_superres)):
+            report = run(noise_sigma=noise)
+            for c in report.cases:
+                c.wall_time_s = 0.0
+            _put(h, f"{name}.{noise}.cases", report.cases)
+            _put(h, f"{name}.{noise}.verdicts", report.verdicts)
+            for key in sorted(report.images):
+                _put(h, f"{name}.{noise}.image.{key}", report.images[key])
+
+
+def _cli(h, max_iters: int) -> None:
+    """scene -> measure -> reconstruct on a 16x16 aperture; every file
+    written, in name order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+
+        def run(*argv):
+            code = cli_main([str(a) for a in argv])
+            if code != 0:
+                raise RuntimeError(f"mvlci {' '.join(map(str, argv))} exited {code}")
+
+        run("scene", "--kind", "blocks", "--width", 46, "--height", 16,
+            "--seed", 5, "--views", "--z", "1e9", "--f", "1",
+            "--out", root / "scene.pgm")
+        views = [root / "view1.pgm", root / "view2.pgm", root / "view1.pgm"]
+        run("measure", "--views", *views, "--rate", 0.5, "--seed", 9,
+            "--noise", 0.05, "--out", root / "m.mvm")
+        for name, flags in (("s1", ["--sensor", "1"]), ("all", ["--sensor", "all"]),
+                            ("joint", ["--mode", "joint"]),
+                            ("superres", ["--mode", "superres"])):
+            run("reconstruct", "--meas", root / "m.mvm", "--max-iters", max_iters,
+                "--out", root / name, *flags)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name.endswith("manifest") or path.name == "manifest.txt":
+                data = b"\n".join(line for line in data.split(b"\n")
+                                  if not line.startswith(b"wall_time_s="))
+                data = data.replace(str(root).encode(), b"<root>")
+            _put(h, f"cli.{path.relative_to(root)}", data)
+
+
+def digest(reduced: bool = False) -> str:
+    """The hex SHA-256 over every covered output (see the module docstring)."""
+    h = hashlib.sha256()
+    if reduced:
+        _solves(h, 16, SolverConfig(sigma=1.0, max_iters=20), "16")
+        _stacked(h, 16, 20)
+        _cli(h, 10)
+        return h.hexdigest()
+    _solves(h, 64, SolverConfig(sigma=1.0), "64")
+    _solves(h, 64, SolverConfig(sigma=1.0, max_iters=60), "64.max60")
+    _solves(h, 256, SolverConfig(sigma=1.0), "256")
+    _stacked(h, 64, 120)
+    _studies(h)
+    _cli(h, 80)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--reduced", action="store_true",
+                        help="short 16x16 solves and CLI runs only")
+    print(digest(parser.parse_args().reduced))

@@ -132,6 +132,9 @@ def cmd_measure(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
+    for flag, value in (("--dx", args.dx), ("--dy", args.dy)):
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value}")
     ms = read_mvm(args.meas)
     base = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
                         sigma=_parse_sigma(args.sigma), epsilon=args.epsilon,
@@ -312,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"mvlci: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a Hadamard order too large to transform
+        print(f"mvlci: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

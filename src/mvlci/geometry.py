@@ -39,8 +39,9 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     Output pixel (x, y) reads the input at (x - dx, y - dy); samples whose
     source lies outside the grid are zero-filled, so border rows have
     weight sum < 1.  Integer displacements produce a 0/1 partial
-    permutation.  |dx| must be < width and |dy| < height.
+    permutation.  dx and dy must be finite, |dx| < width and |dy| < height.
     """
+    _require_finite(dx, dy)
     if abs(dx) >= width or abs(dy) >= height:
         raise ValueError(
             f"shift ({dx}, {dy}) out of range for a {width}x{height} grid"
@@ -134,12 +135,18 @@ def build_region_masks(dx: float, dy: float, width: int, height: int) -> RegionM
     A reference pixel (x, y) is common when the bilinear stencil of
     (x + dx, y + dy) lies fully inside the grid, i.e. the second sensor
     actually observes it; the mirrored rule with (x - dx, y - dy) places
-    the common region on sensor 2's grid.
+    the common region on sensor 2's grid.  dx and dy must be finite.
     """
+    _require_finite(dx, dy)
     common1 = _stencil_inside(dx, dy, width, height, sign=+1.0)
     common2 = _stencil_inside(dx, dy, width, height, sign=-1.0)
     return RegionMasks(dx=dx, dy=dy, common=common1,
                        disjoint=(~common1, ~common2))
+
+
+def _require_finite(dx, dy) -> None:
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise ValueError(f"shift ({dx}, {dy}) must be finite")
 
 
 def _stencil_inside(dx, dy, width, height, sign):

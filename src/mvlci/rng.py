@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
@@ -24,13 +24,15 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """Sequential splitmix64 stream with small helpers for sampling."""
+    """Sequential splitmix64 stream with small helpers for sampling.
+
+    The seed may be any int; it is taken mod 2**64."""
 
     def __init__(self, seed: int):
         self._state = int(seed) & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
+        self._state = (self._state + GAMMA) & MASK64
         return _mix(self._state)
 
     def uniform(self) -> float:
@@ -38,7 +40,12 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias (rejection)."""
+        """Uniform integer in [0, n) without modulo bias.
+
+        A draw r is rejected exactly when r >= 2**64 - (2**64 mod n), and
+        the next stream value is drawn instead; sensing.select_rows applies
+        the same rule to a whole vectorized block of draws.
+        """
         if n <= 0:
             raise ValueError("below() needs n >= 1")
         # largest multiple of n that fits in 64 bits
@@ -57,13 +64,16 @@ def u64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the splitmix64 stream, vectorized.
 
     Identical values to repeated SplitMix64.next_u64 calls with the same
-    seed; kept as a separate path so long noise draws stay cheap.
+    seed, which like SplitMix64 may be any int and is taken mod 2**64.
+    Output i depends only on seed + (i+1)*GAMMA, so the stream from
+    position s on is u64_stream(seed + s*GAMMA, ...); long noise draws and
+    row selections take all their values in one call.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     idx = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed) + idx * np.uint64(_GAMMA)
+        z = np.uint64(int(seed) & MASK64) + idx * np.uint64(GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))

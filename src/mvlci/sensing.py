@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import SplitMix64, normal_stream
+from .rng import GAMMA, MASK64, normal_stream, u64_stream
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -85,7 +85,8 @@ class SensingSpec:
             raise ValueError("rows[0] must be 0 (the all-ones pattern)")
         if self.rows.min() < 0 or self.rows.max() >= n:
             raise ValueError("row indices must lie in [0, order)")
-        if np.unique(self.rows).size != self.rows.size:
+        ordered = np.sort(self.rows)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("row indices must be distinct")
 
     @property
@@ -104,8 +105,13 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
     """Choose ceil(rate * order) distinct Hadamard rows, row 0 always first.
 
     The remaining rows are drawn uniformly without replacement from
-    [1, order) by a splitmix64-seeded Fisher-Yates shuffle over a lazily
-    indexed range, so the selection depends only on (order, rate, seed).
+    [1, order) by a splitmix64-seeded partial Fisher-Yates shuffle over a
+    lazily indexed range, so the selection depends only on (order, rate,
+    seed mod 2**64).  Draw i swaps position i with i + SplitMix64.below(m),
+    m = order - 1 - i.  All offsets come from one vectorized u64_stream
+    call; below()'s rejection rule is applied exactly, and a rejected draw
+    moves every later draw one stream value on, so the rows equal those of
+    the sequential below() loop bit for bit.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of two")
@@ -114,18 +120,33 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
     count = math.ceil(rate * order)
     if count < 1:
         raise ValueError("rate too small: no rows selected")
-    rng = SplitMix64(seed)
-    rows = np.empty(count, dtype=np.int64)
-    rows[0] = 0
-    # partial Fisher-Yates over the virtual array [1 .. order-1]
+    draws = count - 1
+    m = np.arange(order - 1, order - 1 - draws, -1, dtype=np.uint64)
+    # below(m) rejects r >= 2**64 - (2**64 mod m), i.e. r > MASK64 - rem
+    rem = (np.uint64(MASK64) % m + np.uint64(1)) % m
+    limit = np.uint64(MASK64) - rem
+    r = np.empty(draws, dtype=np.uint64)
+    done = used = 0  # draws settled, stream values consumed by them
+    while True:
+        r[done:] = u64_stream(int(seed) + used * GAMMA, draws - done)
+        rejected = np.flatnonzero(r[done:] > limit[done:])
+        if rejected.size == 0:
+            break
+        k = int(rejected[0])
+        done += k
+        used += k + 1
+    js = (r % m).astype(np.int64)
+    js += np.arange(draws, dtype=np.int64)
+    # the swaps over the virtual array [1 .. order-1], position i holding
+    # i + 1 until a swap moves another value there
     state: dict[int, int] = {}
-    n = order - 1
-    for i in range(count - 1):
-        j = i + rng.below(n - i)
-        vi = state.get(i, i + 1)
-        rows[i + 1] = state.get(j, j + 1)
+    get = state.get
+    rows = [0]
+    for i, j in enumerate(js.tolist()):
+        vi = get(i, i + 1)
+        rows.append(get(j, j + 1))
         state[j] = vi
-    return rows
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

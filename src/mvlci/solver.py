@@ -539,11 +539,13 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
 
     The horizontal offset dx must be strictly fractional: the second
     sensor then samples the high-res grid at a new phase (dx = 3.5 low-res
-    pixels is a 7-pixel high-res shift).  Integer dx adds no new samples
-    and raises ValueError.
+    pixels is a 7-pixel high-res shift).  Integer or non-finite dx raises
+    ValueError.
     """
     cfg = cfg or SolverConfig()
     z1, z2 = _measurements(spec, width, height, z1, z2)
+    if not math.isfinite(dx):
+        raise ValueError(f"super-resolution needs a finite dx, got {dx}")
     if float(dx) == int(dx):
         raise ValueError(
             "super-resolution needs a fractional horizontal offset; "

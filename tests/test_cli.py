@@ -5,7 +5,7 @@ import pytest
 
 from mvlci.cli import main
 from mvlci.pgm import read_pgm, write_pgm
-from mvlci.sensing import read_mvm
+from mvlci.sensing import MeasurementSet, SensingSpec, read_mvm, select_rows, write_mvm
 from mvlci.solver import epsilon_for_noise
 
 
@@ -155,6 +155,18 @@ def test_measure_rerun_is_byte_identical(colocated, tmp_path):
     assert out.read_bytes() == (colocated / "meas.mvm").read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551619"])
+def test_measure_noisy_with_a_seed_outside_u64(colocated, tmp_path, seed):
+    out = tmp_path / "m.mvm"
+    assert main(["measure", "--views", str(colocated / "view1.pgm"),
+                 "--rate", "0.5", "--seed", seed, "--noise", "0.01",
+                 "--out", str(out)]) == 0
+    ms = read_mvm(out)
+    assert ms.spec.seed == int(seed)
+    assert np.array_equal(ms.spec.rows,
+                          select_rows(ms.spec.order, 0.5, int(seed) % 2**64))
+
+
 def test_measure_rejects_mismatched_views(tmp_path):
     write_pgm(tmp_path / "a.pgm", np.zeros((16, 16)))
     write_pgm(tmp_path / "b.pgm", np.zeros((16, 8)))
@@ -268,6 +280,33 @@ def test_reconstruct_rejects_non_finite_settings(colocated, tmp_path, capsys, fl
                  "--out", str(tmp_path / "x")] + flags)
     assert code == 1
     assert "mvlci:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "joint", "--dx", "nan"],
+    ["--mode", "joint", "--dy", "nan"],
+    ["--mode", "superres", "--dx", "inf"],
+    ["--mode", "superres", "--dx", "nan"],
+])
+def test_reconstruct_non_finite_offset_is_a_usage_error(offset_pair, tmp_path,
+                                                        capsys, flags):
+    out = tmp_path / "x"
+    code = main(["reconstruct", "--meas", str(offset_pair / "meas.mvm"),
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not out.exists()
+
+
+def test_oversized_order_is_a_clean_runtime_error(tmp_path, capsys):
+    # a 1x1 image with a header order no machine can transform: 2**56 f64
+    spec = SensingSpec(order=2**56, rows=[0], seed=0, pixel_count=1)
+    write_mvm(tmp_path / "big.mvm", MeasurementSet(
+        spec=spec, values=[np.array([0.5])], width=1, height=1, rate=1.0))
+    code = main(["reconstruct", "--meas", str(tmp_path / "big.mvm"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("mvlci:")
 
 
 def test_joint_needs_two_sensors(tmp_path):

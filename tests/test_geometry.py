@@ -1,5 +1,7 @@
 """Shift operators, region masks and view decomposition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,15 @@ def test_shift_transpose_matches_matrix_transpose():
 def test_shift_out_of_range_raises(dx, dy):
     with pytest.raises(ValueError, match="out of range"):
         build_shift(dx, dy, 16, 8)
+
+
+@pytest.mark.parametrize("dx,dy", [(math.nan, 0.0), (0.0, math.nan),
+                                   (math.inf, 0.0), (0.0, -math.inf)])
+def test_non_finite_shift_raises(dx, dy):
+    with pytest.raises(ValueError, match="finite"):
+        build_shift(dx, dy, 16, 8)
+    with pytest.raises(ValueError, match="finite"):
+        build_region_masks(dx, dy, 16, 8)
 
 
 def test_apply_shift_validates_image_shape():

@@ -10,7 +10,8 @@ from mvlci.rng import SplitMix64, normal_stream, u64_stream
 # raw stream
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1,
+                                  -1, -5, 2**64 + 3, -(2**70)])
 def test_vectorized_stream_matches_sequential(seed):
     rng = SplitMix64(seed)
     sequential = [rng.next_u64() for _ in range(257)]

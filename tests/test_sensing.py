@@ -1,10 +1,13 @@
 """Hadamard sensing: transform, row selection, measurement and MVM1 files."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mvlci import sensing
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
+from mvlci.rng import GAMMA, MASK64, SplitMix64, u64_stream
 from mvlci.scene import make_test_scene
 from mvlci.sensing import (
     MeasurementSet,
@@ -155,6 +158,118 @@ def test_select_rows_count_is_ceiling():
     assert select_rows(64, 0.3, 0).shape == (20,)
 
 
+def sequential_select_rows(order, count, stream):
+    """The one-draw-at-a-time partial Fisher-Yates, the reference that
+    select_rows must match.  `stream` is a SplitMix64 (or a stand-in with
+    its below()); draw i is i + stream.below(order - 1 - i)."""
+    rows = np.empty(count, dtype=np.int64)
+    rows[0] = 0
+    state = {}
+    n = order - 1
+    for i in range(count - 1):
+        j = i + stream.below(n - i)
+        vi = state.get(i, i + 1)
+        rows[i + 1] = state.get(j, j + 1)
+        state[j] = vi
+    return rows
+
+
+ORACLE_RATES = ("1/order", 0.05, 0.125, 0.25, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -1, -5, 2**63, 2**64 + 3])
+@pytest.mark.parametrize("log2_order", range(19))
+def test_select_rows_is_bit_identical_to_the_sequential_loop(log2_order, seed):
+    order = 1 << log2_order
+    # the loop's first k draws do not depend on how many follow, so one
+    # full-rate run holds the reference for every rate as a prefix
+    full = sequential_select_rows(order, order, SplitMix64(seed))
+    for rate in ORACLE_RATES:
+        rate = 1.0 / order if rate == "1/order" else rate
+        rows = select_rows(order, rate, seed)
+        count = math.ceil(rate * order)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, full[:count]), (order, rate, seed)
+
+
+class InjectedStream:
+    """The splitmix64 stream of `seed` with some positions overwritten.
+
+    It serves the same values to both paths: sequentially through next_u64
+    (and so SplitMix64.below) to the reference loop, and in blocks through
+    u64_stream(seed + start*GAMMA, count) to select_rows, recording each
+    block's start position."""
+
+    _GAMMA_INV = pow(GAMMA, -1, 1 << 64)
+
+    def __init__(self, seed, overrides):
+        self.seed = seed
+        self.overrides = overrides
+        self.starts = []
+        self.sequential = _Sequential(self)
+
+    def block(self, start, count):
+        out = u64_stream(self.seed + start * GAMMA, count)
+        for pos, value in self.overrides.items():
+            if start <= pos < start + count:
+                out[pos - start] = value
+        return out
+
+    def u64_stream(self, seed, count):
+        start = ((seed - self.seed) * self._GAMMA_INV) & MASK64
+        self.starts.append(start)
+        return self.block(start, count)
+
+
+class _Sequential(SplitMix64):
+    def __init__(self, stream):
+        super().__init__(stream.seed)
+        self.stream = stream
+        self.position = 0
+
+    def next_u64(self):
+        value = int(self.stream.block(self.position, 1)[0])
+        self.position += 1
+        return value
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**64 + 3])
+def test_select_rows_rejection_advances_the_stream(monkeypatch, seed):
+    # 2**64 mod 3 == 1, so below(3) rejects exactly r == MASK64
+    stream = InjectedStream(seed, {0: MASK64})
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    rows = select_rows(4, 1.0, seed)
+    assert np.array_equal(rows, sequential_select_rows(4, 4, stream.sequential))
+    assert stream.sequential.position == 4  # three draws and one rejection
+    assert stream.starts == [0, 1]
+    monkeypatch.undo()
+    # the draws are those of the stream one value on
+    assert np.array_equal(rows, select_rows(4, 1.0, seed + GAMMA))
+
+
+def test_select_rows_accepts_the_largest_unbiased_value(monkeypatch):
+    stream = InjectedStream(7, {0: MASK64 - 1})
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    rows = select_rows(4, 1.0, 7)
+    assert np.array_equal(rows, sequential_select_rows(4, 4, stream.sequential))
+    assert stream.sequential.position == 3
+    assert stream.starts == [0]
+    # (MASK64 - 1) % 3 == 2: the first draw swaps in the last value
+    assert rows[1] == 3
+
+
+def test_select_rows_runs_of_rejections_mid_selection(monkeypatch):
+    # draw 5 (m = 58, 2**64 mod 58 == 24) rejects MASK64 three times over;
+    # draw 31 then reads position 34 and has m = 32, which divides 2**64,
+    # so there MASK64 is accepted
+    stream = InjectedStream(42, {5: MASK64, 6: MASK64, 7: MASK64, 34: MASK64})
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    rows = select_rows(64, 1.0, 42)
+    assert np.array_equal(rows, sequential_select_rows(64, 64, stream.sequential))
+    assert stream.sequential.position == 63 + 3
+    assert stream.starts == [0, 6, 7, 8]
+
+
 @pytest.mark.parametrize("order,rate", [(63, 0.5), (0, 0.5), (64, 0.0),
                                         (64, 1.5), (64, -0.1)])
 def test_select_rows_validates_arguments(order, rate):
@@ -201,6 +316,12 @@ def test_spec_rejects_out_of_range_rows():
 def test_spec_rejects_duplicate_rows():
     with pytest.raises(ValueError, match="distinct"):
         SensingSpec(order=16, rows=[0, 5, 5], seed=0, pixel_count=16)
+
+
+def test_spec_rejects_duplicate_rows_apart_and_unsorted():
+    with pytest.raises(ValueError, match="distinct"):
+        SensingSpec(order=16, rows=[0, 9, 3, 12, 9], seed=0, pixel_count=16)
+    SensingSpec(order=16, rows=[0, 9, 3, 12, 15], seed=0, pixel_count=16)
 
 
 # ---------------------------------------------------------------------------

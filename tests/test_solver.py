@@ -441,6 +441,14 @@ def test_superres_rejects_integer_offsets():
         reconstruct_superres(z, z, spec, 16, 16, 3.0)
 
 
+@pytest.mark.parametrize("dx", [math.inf, -math.inf, math.nan])
+def test_superres_rejects_non_finite_offsets(dx):
+    spec = make_spec(256, 0.5, 0, pixel_count=256)
+    z = np.zeros(spec.count)
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_superres(z, z, spec, 16, 16, dx)
+
+
 def test_superres_output_is_double_width():
     spec = make_spec(256, 1.0, 7, pixel_count=256)
     truth = np.full((16, 16), 0.4)

@@ -12,8 +12,10 @@ so the digest of another checkout is
 Covered at full size (the default): single/joint/superres at 64x64 with
 SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
 seven-vector stacked single solve with epsilon > 0, fig3/fig4 at noise 0
-and 0.02, and the CLI pipeline (3 views measured at noise 0.05, then
-`--sensor 1`, `--sensor all`, joint and superres); 10-20 s on two cores.
+and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
+`--sensor 1`, `--sensor all`, joint and superres), and the rows
+select_rows picks at (2**18, 0.25, 7), (65536, 1.0, -1) and
+(4096, 0.125, 2**64 + 3); 10-20 s on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
 CLI, each for at most 20 iterations (a fraction of a second; the test
 suite runs it).
@@ -143,6 +145,14 @@ def _cli(h, max_iters: int) -> None:
             _put(h, f"cli.{path.relative_to(root)}", data)
 
 
+def _rows(h) -> None:
+    """Row selections at full scale, at full rate and with a seed taken
+    mod 2**64."""
+    for order, rate, seed in ((2**18, 0.25, 7), (65536, 1.0, -1),
+                              (4096, 0.125, 2**64 + 3)):
+        _put(h, f"rows.{order}.{rate}.{seed}", select_rows(order, rate, seed))
+
+
 def digest(reduced: bool = False) -> str:
     """The hex SHA-256 over every covered output (see the module docstring)."""
     h = hashlib.sha256()
@@ -157,6 +167,7 @@ def digest(reduced: bool = False) -> str:
     _stacked(h, 64, 120)
     _studies(h)
     _cli(h, 80)
+    _rows(h)
     return h.hexdigest()
 
 

@@ -141,8 +141,6 @@ def cmd_reconstruct(args) -> int:
                         verbose=args.verbose)
     # the noise ball is sized from sensor 1, or from the one sensor solved
     cfg = config_for_noise(base, ms.noise_sigma, ms.values[0])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = {}
 
     if args.mode == "single":
@@ -183,6 +181,9 @@ def cmd_reconstruct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown mode {args.mode}")
 
+    # created only now, so a run that fails leaves no empty directory behind
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, img in written.items():
         write_pgm(outdir / f"{name}.pgm", clamp01(img), maxval=65535)
     entries = _manifest_base("reconstruct", {

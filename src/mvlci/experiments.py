@@ -181,10 +181,6 @@ class ExperimentReport:
                 return v
         raise KeyError(f"no verdict named {claim!r}")
 
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
     def write(self, outdir) -> None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -198,16 +194,27 @@ class ExperimentReport:
 # shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _far_geometry(width: int, height: int, dx: float) -> CameraGeometry:
-    """Two sensors separated horizontally, scene far enough that the
-    effective shift is dx up to ~1e-7 relative."""
-    return CameraGeometry(
+def _far_views(kind: str, width: int, height: int, dx: float, scale: int,
+               seed: int):
+    """A test scene at `scale` times the aperture width and the two views
+    of it that sensors separated horizontally by dx see from far enough
+    away that the effective shift is dx up to ~1e-7 relative.
+
+    Returns (scene, views, dx_eff, margin): the scene carries `margin`
+    extra columns on each side to cover the second sensor's shift.
+    """
+    margin = math.ceil(scale * abs(dx))
+    scene = make_test_scene(kind, scale * width + 2 * margin, height, seed)
+    geo = CameraGeometry(
         aperture_width=width,
         aperture_height=height,
         sensor_offsets=[(0.0, 0.0), (dx, 0.0)],
         sensor_plane_distance=1.0,
         scene_distance=1.0e7,
     )
+    views = [render_view(scene, geo, 1), render_view(scene, geo, 2)]
+    dx_eff, _ = parallax_shift(geo, 2)
+    return scene, views, dx_eff, margin
 
 
 def _metrics(truth, recon, mask=None):
@@ -255,11 +262,8 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
         )
     if cfg is None:
         cfg = SolverConfig(sigma=1.0)
-    pad = math.ceil(abs(dx))   # views at scene resolution; margin only for the shift
-    scene = make_test_scene(kind, width + 2 * pad, height, scene_seed)
-    geo = _far_geometry(width, height, dx)
-    views = [render_view(scene, geo, 1), render_view(scene, geo, 2)]
-    dx_eff, _ = parallax_shift(geo, 2)
+    # views at scene resolution; the margin only covers the shift
+    _, views, dx_eff, _ = _far_views(kind, width, height, dx, 1, scene_seed)
     masks = build_region_masks(dx_eff, 0.0, width, height)
     shift = build_shift(dx_eff, 0.0, width, height)
 
@@ -371,15 +375,11 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
         )
     if cfg is None:
         cfg = SolverConfig(sigma=1.0)
-    pad = math.ceil(2.0 * abs(dx))
-    scene = make_test_scene(kind, 2 * width + 2 * pad, height, scene_seed)
-    geo = _far_geometry(width, height, dx)
-    views = [render_view(scene, geo, 1), render_view(scene, geo, 2)]
-    dx_eff, _ = parallax_shift(geo, 2)
+    scene, views, dx_eff, anchor = _far_views(kind, width, height, dx, 2,
+                                              scene_seed)
 
-    # reference crop for sensor 1; sensor 2's truth sits one high-res
-    # shift to the left of it
-    anchor = pad
+    # reference crop for sensor 1 starts at the margin; sensor 2's truth
+    # sits one high-res shift to the left of it
     hr_shift = int(round(2.0 * dx_eff))
     truth_hr = {
         1: scene.base[:, anchor : anchor + 2 * width],

@@ -124,10 +124,6 @@ class RegionMasks:
             return self.common
         return ~self.disjoint[sensor_index - 1]
 
-    @property
-    def common_count(self) -> int:
-        return int(self.common.sum())
-
 
 def build_region_masks(dx: float, dy: float, width: int, height: int) -> RegionMasks:
     """Boolean masks for the jointly visible region and per-sensor borders.

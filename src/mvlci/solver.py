@@ -49,37 +49,35 @@ class SolverError(RuntimeError):
     pass
 
 
+# The penalty schedule and inner-solve limits: mu starts at PENALTY and
+# doubles every CONTINUATION_EVERY iterations up to CONTINUATION_CAP times
+# the start, and each inner CG runs at most CG_MAX_ITERS steps, stopping
+# once its residual is CG_TOL relative to ||rhs||.
+PENALTY = 32.0
+CONTINUATION_EVERY = 50
+CONTINUATION_CAP = 1024.0
+CG_MAX_ITERS = 12
+CG_TOL = 1.0e-6
+
+
 @dataclass
 class SolverConfig:
     max_iters: int = 500
     rel_tol: float = 1.0e-4
-    penalty: float = 32.0            # mu; doubled every continuation_every iters
-    continuation_every: int = 50
-    continuation_cap: float = 1024.0  # cap as a multiple of the initial penalty
     sigma: float | str = "auto"       # weight of the disjoint-region TV terms
     epsilon: float = 0.0              # measurement fidelity ball (0 = equality)
-    cg_max_iters: int = 12
-    cg_tol: float = 1.0e-6
-    verbose: bool = False
-    log_stream: object = None
+    verbose: bool = False             # one line per iteration on stderr
 
     def __post_init__(self):
-        for name in ("rel_tol", "penalty", "continuation_cap", "epsilon", "cg_tol"):
+        for name in ("rel_tol", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("max_iters", "continuation_every", "cg_max_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
-        if self.penalty <= 0.0:
-            raise ValueError("penalty must be > 0")
-        if self.continuation_every < 1:
-            raise ValueError("continuation_every must be >= 1")
-        if self.continuation_cap < 1.0:
-            raise ValueError("continuation_cap must be >= 1")
         if isinstance(self.sigma, str):
             if self.sigma != "auto":
                 raise ValueError("sigma must be 'auto' or a positive number")
@@ -87,10 +85,6 @@ class SolverConfig:
             raise ValueError("sigma must be 'auto' or a positive number")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        if self.cg_max_iters < 0:
-            raise ValueError("cg_max_iters must be >= 0")
-        if self.cg_tol < 0.0:
-            raise ValueError("cg_tol must be >= 0")
 
 
 @dataclass
@@ -300,8 +294,8 @@ class _Engine:
         field but the mode-specific images and sigma."""
         cfg = self.cfg
         nb = len(self.blocks)
-        mu = cfg.penalty    # one penalty on both the TV and the data splits
-        cap = cfg.penalty * cfg.continuation_cap
+        mu = PENALTY    # one penalty on both the TV and the data splits
+        cap = PENALTY * CONTINUATION_CAP
 
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
         # the flat (mean-intensity) part at image scale; _backward already
@@ -329,7 +323,6 @@ class _Engine:
         last_res = [0.0] * nb
         converged = False
         iterations = 0
-        stream = cfg.log_stream if cfg.log_stream is not None else sys.stderr
 
         for t in range(1, cfg.max_iters + 1):
             iterations = t
@@ -387,7 +380,7 @@ class _Engine:
             if cfg.verbose:
                 line = f"iter={t} obj={obj:.6e}" + "".join(
                     f" res{bi + 1}={res_rel[bi]:.3e}" for bi in range(nb))
-                print(line, file=stream)
+                print(line, file=sys.stderr)
 
             diff = math.sqrt(sum(float(np.sum((a - b) ** 2))
                                  for a, b in zip(xl, x_old)))
@@ -399,7 +392,7 @@ class _Engine:
                 converged = True
                 break
 
-            if t % cfg.continuation_every == 0:
+            if t % CONTINUATION_EVERY == 0:
                 mu = min(2.0 * mu, cap)
 
         return xl, ReconstructionResult(
@@ -414,13 +407,12 @@ class _Engine:
     def _cg(self, x0, rhs, r0, mu):
         """Conjugate gradients for H x = rhs at penalty mu from x0, whose
         residual rhs - H x0 the caller passes as r0 (it is consumed)."""
-        cfg = self.cfg
         xl = [x.copy() for x in x0]
         rl = r0
         pl = [r.copy() for r in rl]
         rs = self._dot(rl, rl)
-        target = cfg.cg_tol * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
-        for _ in range(cfg.cg_max_iters):
+        target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
+        for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
             hp = self._normal(self._grads(pl), self._forwards(pl), mu)

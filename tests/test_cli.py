@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline: scene -> measure -> reconstruct."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def offset_pair(tmp_path_factory):
                  "--views", "--dx", "3.5", "--z", "1e9", "--f", "1"]) == 0
     assert main(["measure", "--views", str(root / "view1.pgm"),
                  str(root / "view2.pgm"), "--rate", "0.5", "--seed", "9",
+                 "--out", str(root / "meas.mvm")]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def one_sensor(tmp_path_factory):
+    """One flat 16x16 view measured alone."""
+    root = tmp_path_factory.mktemp("one")
+    write_pgm(root / "v.pgm", np.full((16, 16), 0.5))
+    assert main(["measure", "--views", str(root / "v.pgm"), "--rate", "0.5",
                  "--out", str(root / "meas.mvm")]) == 0
     return root
 
@@ -194,6 +206,21 @@ def test_reconstruct_single_writes_image_and_manifest(colocated, tmp_path):
     assert manifest["outputs"] == "recon"
 
 
+def test_reconstruct_verbose_logs_each_iteration_to_stderr(colocated, tmp_path,
+                                                           capsys):
+    assert main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
+                 "--verbose", "--max-iters", "3",
+                 "--out", str(tmp_path / "rec")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert 1 <= len(lines) <= 3
+    pat = re.compile(r"^iter=\d+ obj=\d\.\d{6}e[+-]\d{2,3} res1=\d\.\d{3}e[+-]\d{2,3}$")
+    for idx, line in enumerate(lines):
+        assert pat.match(line), line
+        assert line.startswith(f"iter={idx + 1} ")
+
+
 def test_reconstruct_zero_measurements_give_a_black_image(tmp_path):
     write_pgm(tmp_path / "z.pgm", np.zeros((16, 16)))
     assert main(["measure", "--views", str(tmp_path / "z.pgm"),
@@ -307,6 +334,23 @@ def test_oversized_order_is_a_clean_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("mvlci:")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("meas, flags", [
+    ("colocated", ["--mode", "superres", "--dx", "3.0"]),
+    ("colocated", ["--sensor", "5"]),
+    ("one_sensor", ["--mode", "joint"]),
+])
+def test_rejected_reconstruct_leaves_no_output_directory(request, tmp_path, capsys,
+                                                         meas, flags):
+    out = tmp_path / "x"
+    root = request.getfixturevalue(meas)
+    code = main(["reconstruct", "--meas", str(root / "meas.mvm"),
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not out.exists()
 
 
 def test_joint_needs_two_sensors(tmp_path):

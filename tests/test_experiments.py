@@ -149,7 +149,7 @@ def test_summary_text_reports_verdicts():
 def test_verdict_lookup():
     rep = sample_report()
     assert rep.verdict("a-claim").passed
-    assert not rep.all_passed
+    assert not all(v.passed for v in rep.verdicts)
     with pytest.raises(KeyError):
         rep.verdict("missing")
 
@@ -199,7 +199,7 @@ def test_degenerate_full_rate_run_passes_by_saturation():
     rep = run_measurement_increase(width=32, height=32,
                                    rate_low=1.0, rate_high=1.0,
                                    scene_seed=7, meas_seed=42)
-    assert rep.all_passed
+    assert all(v.passed for v in rep.verdicts)
     for v in rep.verdicts:
         assert "(saturated)" in v.detail
     for c in rep.cases:

@@ -113,7 +113,7 @@ def test_masks_at_the_working_shift():
 def test_masks_unknown_count_stays_below_two_images():
     for dx in (0.0, 1.0, 3.5, 17.25, 63.0):
         masks = build_region_masks(dx, 0.0, 64, 64)
-        unknowns = (masks.common_count + masks.disjoint[0].sum()
+        unknowns = (masks.common.sum() + masks.disjoint[0].sum()
                     + masks.disjoint[1].sum())
         assert unknowns < 2 * 64 * 64
 
@@ -129,7 +129,7 @@ def test_masks_partition_each_grid():
     masks = build_region_masks(-2.5, 1.5, 24, 20)
     assert np.array_equal(masks.common, ~masks.disjoint[0])
     assert np.array_equal(masks.common_for(2), ~masks.disjoint[1])
-    assert masks.common_count == masks.common_for(2).sum()
+    assert masks.common.sum() == masks.common_for(2).sum()
 
 
 def test_common_for_reference_sensor_is_common():

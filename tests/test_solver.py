@@ -1,6 +1,5 @@
 """TV pieces, the augmented-Lagrangian engine and the reconstruction APIs."""
 
-import io
 import math
 import re
 
@@ -229,10 +228,10 @@ def test_edge_mask_excludes_support_boundary():
 @pytest.mark.parametrize("kwargs", [
     {"max_iters": 0},
     {"rel_tol": 0.0},
-    {"penalty": 0.0},
-    {"penalty": -2.0},
-    {"continuation_every": 0},
-    {"continuation_cap": 0.5},
+    {"sigma": 0.0},
+    {"rel_tol": -1.0},
+    {"max_iters": -5},
+    {"sigma": "AUTO"},
     {"sigma": "bogus"},
     {"sigma": -1.0},
     {"epsilon": -0.5},
@@ -240,16 +239,16 @@ def test_edge_mask_excludes_support_boundary():
     {"rel_tol": math.inf},
     {"epsilon": math.nan},
     {"epsilon": math.inf},
-    {"penalty": math.inf},
-    {"continuation_cap": math.nan},
+    {"rel_tol": -math.inf},
+    {"max_iters": math.nan},
     {"sigma": math.nan},
     {"sigma": math.inf},
-    {"cg_tol": math.nan},
-    {"cg_tol": -1.0},
-    {"cg_max_iters": -5},
+    {"epsilon": -math.inf},
+    {"sigma": -math.inf},
+    {"max_iters": "5"},
     {"max_iters": math.inf},
-    {"continuation_every": math.nan},
-    {"cg_max_iters": 2.5},
+    {"max_iters": 3.0},
+    {"max_iters": 2.5},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -311,7 +310,7 @@ def test_epsilon_ball_relaxes_the_fit():
         assert r <= bound * (1.0 + 1e-9)
 
 
-def test_objective_settles_within_each_continuation_stage():
+def test_objective_settles_within_each_continuation_stage(monkeypatch):
     """Once a continuation stage has settled, its objective tail is flat:
     non-increasing within 1e-6 relative slack over the last 10 iterations.
     Stages need to be long enough to settle (the penalty starts small) and
@@ -319,8 +318,10 @@ def test_objective_settles_within_each_continuation_stage():
     truth = make_test_scene("blocks", 16, 16, 3).base
     spec = make_spec(256, 0.5, 2, pixel_count=256)
     z = measure(truth, spec)
-    cfg = SolverConfig(max_iters=450, rel_tol=1e-14, continuation_every=150,
-                       cg_max_iters=40, cg_tol=1e-10)
+    monkeypatch.setattr(solver, "CONTINUATION_EVERY", 150)
+    monkeypatch.setattr(solver, "CG_MAX_ITERS", 40)
+    monkeypatch.setattr(solver, "CG_TOL", 1e-10)
+    cfg = SolverConfig(max_iters=450, rel_tol=1e-14)
     res = reconstruct_single(z, spec, 16, 16, cfg)
     hist = res.objective_history
     assert len(hist) == 450
@@ -336,13 +337,12 @@ def test_single_view_validates_pixel_count():
         reconstruct_single(np.zeros(spec.count), spec, 8, 9)
 
 
-def test_verbose_log_format():
+def test_verbose_log_format(capsys):
     spec = make_spec(64, 0.5, 0, pixel_count=64)
     z = measure(np.linspace(0.0, 1.0, 64), spec)
-    stream = io.StringIO()
-    cfg = SolverConfig(max_iters=5, verbose=True, log_stream=stream)
+    cfg = SolverConfig(max_iters=5, verbose=True)
     reconstruct_single(z, spec, 8, 8, cfg)
-    lines = stream.getvalue().strip().split("\n")
+    lines = capsys.readouterr().err.strip().split("\n")
     assert 1 <= len(lines) <= 5
     pat = re.compile(r"^iter=\d+ obj=\d\.\d{6}e[+-]\d{2,3} res1=\d\.\d{3}e[+-]\d{2,3}$")
     for idx, line in enumerate(lines):

@@ -4,7 +4,7 @@ Two source trees that print the same digest give the same bits on every
 output covered: each field of each ReconstructionResult (arrays by dtype,
 shape and bytes; scalars and lists by repr), the fig3/fig4 reports, and
 the files `mvlci measure` and `mvlci reconstruct` write (manifest
-`wall_time_s` lines excluded).  The package is imported from PYTHONPATH,
+`wall_time_s` lines excluded) and what each reconstruct prints to stderr.  The package is imported from PYTHONPATH,
 so the digest of another checkout is
 
     PYTHONPATH=<checkout>/src python tools/solve_digest.py
@@ -13,7 +13,7 @@ Covered at full size (the default): single/joint/superres at 64x64 with
 SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
 seven-vector stacked single solve with epsilon > 0, fig3/fig4 at noise 0
 and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
-`--sensor 1`, `--sensor all`, joint and superres), and the rows
+`--sensor 1 --verbose`, `--sensor all`, joint and superres), and the rows
 select_rows picks at (2**18, 0.25, 7), (65536, 1.0, -1) and
 (4096, 0.125, 2**64 + 3); 10-20 s on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
@@ -24,8 +24,10 @@ suite runs it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -115,8 +117,8 @@ def _studies(h) -> None:
 
 
 def _cli(h, max_iters: int) -> None:
-    """scene -> measure -> reconstruct on a 16x16 aperture; every file
-    written, in name order."""
+    """scene -> measure -> reconstruct on a 16x16 aperture; the stderr of
+    each reconstruct, then every file written, in name order."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
@@ -131,11 +133,15 @@ def _cli(h, max_iters: int) -> None:
         views = [root / "view1.pgm", root / "view2.pgm", root / "view1.pgm"]
         run("measure", "--views", *views, "--rate", 0.5, "--seed", 9,
             "--noise", 0.05, "--out", root / "m.mvm")
-        for name, flags in (("s1", ["--sensor", "1"]), ("all", ["--sensor", "all"]),
+        for name, flags in (("s1", ["--sensor", "1", "--verbose"]),
+                            ("all", ["--sensor", "all"]),
                             ("joint", ["--mode", "joint"]),
                             ("superres", ["--mode", "superres"])):
-            run("reconstruct", "--meas", root / "m.mvm", "--max-iters", max_iters,
-                "--out", root / name, *flags)
+            log = io.StringIO()
+            with contextlib.redirect_stderr(log):
+                run("reconstruct", "--meas", root / "m.mvm", "--max-iters",
+                    max_iters, "--out", root / name, *flags)
+            _put(h, f"cli.{name}.stderr", log.getvalue())
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             data = path.read_bytes()
             if path.name.endswith("manifest") or path.name == "manifest.txt":

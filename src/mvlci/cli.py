@@ -55,8 +55,7 @@ def cmd_scene(args) -> int:
     t0 = time.perf_counter()
     scene = make_test_scene(args.kind, args.width, args.height, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_pgm(out, scene.base, maxval=args.maxval)
+    views = []
     entries = _manifest_base("scene", {
         "kind": args.kind, "width": args.width, "height": args.height,
         "seed": args.seed, "maxval": args.maxval, "out": out,
@@ -87,9 +86,7 @@ def cmd_scene(args) -> int:
             sensor_plane_distance=args.f, scene_distance=args.z,
         )
         dx_eff, dy_eff = parallax_shift(geo, 2)
-        for k in (1, 2):
-            view = render_view(scene, geo, k)
-            write_pgm(out.parent / f"view{k}.pgm", view, maxval=args.maxval)
+        views = [render_view(scene, geo, k) for k in (1, 2)]
         entries.update({
             "views": 1, "dx": args.dx, "f": args.f, "z": args.z,
             "dx_effective": repr(dx_eff), "dy_effective": repr(dy_eff),
@@ -97,6 +94,11 @@ def cmd_scene(args) -> int:
             "view1": out.parent / "view1.pgm",
             "view2": out.parent / "view2.pgm",
         })
+    # every check has passed and every image exists: only now write
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_pgm(out, scene.base, maxval=args.maxval)
+    for k, view in enumerate(views, start=1):
+        write_pgm(out.parent / f"view{k}.pgm", view, maxval=args.maxval)
     entries["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
     write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
     return 0

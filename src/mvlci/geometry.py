@@ -40,6 +40,11 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     source lies outside the grid are zero-filled, so border rows have
     weight sum < 1.  Integer displacements produce a 0/1 partial
     permutation.  dx and dy must be finite, |dx| < width and |dy| < height.
+
+    The CSR arrays are assembled directly.  Each (y tap, x tap) plane
+    whose two axes carry some weight fills one column of (pixel, plane)
+    weight and column arrays; the positive weights are kept in row-major
+    order, so each row's columns ascend, and indptr counts them per pixel.
     """
     _require_finite(dx, dy)
     if abs(dx) >= width or abs(dy) >= height:
@@ -49,30 +54,21 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
     yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
 
-    # combine the per-axis taps into up to 4 entries per output pixel
+    planes = [(ay, ax) for ay in range(2) for ax in range(2)
+              if yw[:, ay].any() and xw[:, ax].any()]
     n = width * height
-    rows_idx = []
-    cols_idx = []
-    vals = []
-    for ay in range(yt.shape[1]):
-        for ax in range(xt.shape[1]):
-            wgt = yw[:, ay][:, None] * xw[:, ax][None, :]
-            col = yt[:, ay][:, None] * width + xt[:, ax][None, :]
-            keep = wgt > 0.0
-            if not keep.any():
-                continue
-            out_idx = np.nonzero(keep.ravel())[0]
-            rows_idx.append(out_idx)
-            cols_idx.append(col.ravel()[out_idx])
-            vals.append(wgt.ravel()[out_idx])
-    if rows_idx:
-        mat = sparse.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        mat = sparse.csr_matrix((n, n))
+    idx = sparse.get_index_dtype(maxval=len(planes) * n)
+    val = np.empty((height, width, len(planes)))
+    col = np.empty((height, width, len(planes)), dtype=idx)
+    for p, (ay, ax) in enumerate(planes):
+        np.multiply(yw[:, ay, None], xw[None, :, ax], out=val[:, :, p])
+        col[:, :, p] = yt[:, ay, None] * width + xt[None, :, ax]
+    keep = val > 0.0
+    indptr = np.zeros(n + 1, dtype=idx)
+    for p in range(len(planes)):
+        indptr[1:] += keep[:, :, p].ravel()
+    np.cumsum(indptr, out=indptr)
+    mat = sparse.csr_matrix((val[keep], col[keep], indptr), shape=(n, n))
     return ShiftOperator(dx=dx, dy=dy, width=width, height=height, matrix=mat)
 
 

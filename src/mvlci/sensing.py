@@ -107,14 +107,26 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
     The remaining rows are drawn uniformly without replacement from
     [1, order) by a splitmix64-seeded partial Fisher-Yates shuffle over a
     lazily indexed range, so the selection depends only on (order, rate,
-    seed mod 2**64).  Draw i swaps position i with i + SplitMix64.below(m),
-    m = order - 1 - i.  All offsets come from one vectorized u64_stream
-    call; below()'s rejection rule is applied exactly, and a rejected draw
-    moves every later draw one stream value on, so the rows equal those of
-    the sequential below() loop bit for bit.
+    seed mod 2**64).  Draw i swaps position i with j_i = i +
+    SplitMix64.below(m), m = order - 1 - i, on the virtual array whose
+    position p holds p + 1 until a swap moves another value there.  All
+    offsets come from one vectorized u64_stream call; below()'s rejection
+    rule is applied exactly, and a rejected draw moves every later draw
+    one stream value on.
+
+    The swaps are resolved in whole-array passes.  Draw i outputs the value
+    at position j_i at time i: j_i + 1 if no earlier draw wrote there,
+    else the value carried by the latest earlier writer k there, which is
+    the value at k at time k, defined the same way.  A stable sort by j_i
+    (no combined key that could overflow) finds both writers; each comes
+    before its reader, so pointer doubling resolves the chains without
+    cycles.  This is the sequential loop's recurrence, so the rows equal
+    its rows bit for bit.  No array has one entry per order.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of two")
+    if order > 1 << 63:
+        raise ValueError("order must not exceed 2**63: rows are int64")
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must lie in (0, 1]")
     count = math.ceil(rate * order)
@@ -136,17 +148,23 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
         done += k
         used += k + 1
     js = (r % m).astype(np.int64)
-    js += np.arange(draws, dtype=np.int64)
-    # the swaps over the virtual array [1 .. order-1], position i holding
-    # i + 1 until a swap moves another value there
-    state: dict[int, int] = {}
-    get = state.get
-    rows = [0]
-    for i, j in enumerate(js.tolist()):
-        vi = get(i, i + 1)
-        rows.append(get(j, j + 1))
-        state[j] = vi
-    return np.array(rows, dtype=np.int64)
+    at = np.arange(draws, dtype=np.int64)
+    js += at
+    by = np.argsort(js, kind="stable")  # draws by (j, draw index)
+    sj = js[by]
+    same = sj[1:] == sj[:-1]
+    prev = np.full(draws, -1, dtype=np.int64)  # latest earlier writer at j_i
+    prev[by[1:][same]] = by[:-1][same]
+    # root[i]: the last writer at position i, or i if none; it precedes i
+    # or is i swapping with itself, a value that no draw reads
+    last = np.searchsorted(sj, at, side="right") - 1
+    root = np.where(sj[last] == at, by[last], at)
+    hop = root[root]
+    while not np.array_equal(hop, root):
+        root, hop = hop, hop[hop]
+    rows = np.zeros(count, dtype=np.int64)
+    rows[1:] = np.where(prev < 0, js, root[prev]) + 1
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -513,15 +513,14 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
 
 
 def _pair_average_matrix(width: int, height: int) -> sparse.csr_matrix:
-    """Sampling S: low-res pixel (x, y) = mean of high-res (2x, 2x+1)."""
+    """Sampling S: low-res pixel (x, y) = mean of high-res (2x, 2x+1), so
+    row p = y*width + x holds 0.5 at columns 2p and 2p + 1 (CSR, direct)."""
     n_lo = width * height
-    rows = np.repeat(np.arange(n_lo, dtype=np.int64), 2)
-    y, x = np.divmod(np.arange(n_lo, dtype=np.int64), width)
-    cols = np.empty(2 * n_lo, dtype=np.int64)
-    cols[0::2] = y * (2 * width) + 2 * x
-    cols[1::2] = y * (2 * width) + 2 * x + 1
-    vals = np.full(2 * n_lo, 0.5)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_lo, 2 * n_lo))
+    idx = sparse.get_index_dtype(maxval=2 * n_lo)
+    return sparse.csr_matrix(
+        (np.full(2 * n_lo, 0.5), np.arange(2 * n_lo, dtype=idx),
+         np.arange(0, 2 * n_lo + 1, 2, dtype=idx)),
+        shape=(n_lo, 2 * n_lo))
 
 
 def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,

@@ -120,6 +120,19 @@ def test_scene_views_need_a_finite_offset(tmp_path, capsys, dx):
     assert capsys.readouterr().err.startswith("mvlci:")
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--width", "40"], 2),                 # no 2x view window
+    (["--width", "64", "--dx", "nan"], 2),  # non-finite offset
+    (["--width", "64", "--z", "-5"], 1),    # CameraGeometry rejects it
+])
+def test_rejected_scene_views_write_nothing(tmp_path, capsys, flags, code):
+    out = tmp_path / "out" / "scene.pgm"
+    assert main(["scene", "--height", "16", "--views", *flags,
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("width", [44, 47])
 def test_scene_views_at_the_narrowest_working_widths(tmp_path, width):
     assert main(["scene", "--width", str(width), "--height", "16", "--views",

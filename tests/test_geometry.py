@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mvlci.geometry import (
     RegionMasks,
+    _axis_taps,
     apply_shift,
     build_region_masks,
     build_shift,
     decompose,
 )
+from mvlci.scene import CameraGeometry, parallax_shift
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +91,73 @@ def test_non_finite_shift_raises(dx, dy):
         build_shift(dx, dy, 16, 8)
     with pytest.raises(ValueError, match="finite"):
         build_region_masks(dx, dy, 16, 8)
+
+
+def coo_build_shift_matrix(dx, dy, width, height):
+    """build_shift's matrix assembled as COO triplets and converted to CSR,
+    the reference that the direct CSR assembly must match array for array."""
+    xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
+    yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
+    n = width * height
+    rows_idx = []
+    cols_idx = []
+    vals = []
+    for ay in range(yt.shape[1]):
+        for ax in range(xt.shape[1]):
+            wgt = yw[:, ay][:, None] * xw[:, ax][None, :]
+            col = yt[:, ay][:, None] * width + xt[:, ax][None, :]
+            keep = wgt > 0.0
+            if not keep.any():
+                continue
+            out_idx = np.nonzero(keep.ravel())[0]
+            rows_idx.append(out_idx)
+            cols_idx.append(col.ravel()[out_idx])
+            vals.append(wgt.ravel()[out_idx])
+    if rows_idx:
+        return sparse.coo_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+            shape=(n, n),
+        ).tocsr()
+    return sparse.csr_matrix((n, n))
+
+
+def assert_same_csr(got, want):
+    """Equal shape, and equal indptr, indices and data, dtypes and bytes."""
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+# the far-field shift of the studies and the benchmark, 3.4999996...
+FAR_DX = parallax_shift(CameraGeometry(
+    aperture_width=64, aperture_height=64, sensor_offsets=[(0.0, 0.0), (3.5, 0.0)],
+    sensor_plane_distance=1.0, scene_distance=1.0e7), 2)[0]
+STEPS = [0.0, 3.0, -2.0, 2.5, -1.25, 0.75, FAR_DX, -FAR_DX]
+UNDER_16 = math.nextafter(16.0, 0.0)
+UNDER_8 = math.nextafter(8.0, 0.0)
+
+
+@pytest.mark.parametrize("dx,dy,width,height", [
+    *[(dx, dy, 16, 8) for dx in STEPS for dy in STEPS[:6]],
+    # |shift| just under the grid
+    (UNDER_16, 0.0, 16, 8), (-UNDER_16, 0.5, 16, 8),
+    (2.5, UNDER_8, 16, 8), (0.0, -UNDER_8, 16, 8), (UNDER_16, -UNDER_8, 16, 8),
+    # a 1x1 grid
+    (0.0, 0.0, 1, 1), (0.5, 0.0, 1, 1), (-0.5, 0.25, 1, 1),
+    (math.nextafter(1.0, 0.0), 0.0, 1, 1),
+    # weights that underflow to zero (1e-300 * 1e-300) or round to one
+    (1e-300, 0.0, 16, 8), (-1e-300, 0.0, 16, 8), (1e-300, 1e-300, 16, 8),
+    (-1e-300, -1e-300, 16, 8), (-1e-300, 1e-300, 16, 8), (-1e-300, -1e-300, 1, 1),
+    # the study, benchmark and superres-grid shifts
+    (FAR_DX, 0.0, 64, 64), (FAR_DX, 0.0, 256, 256), (2.0 * FAR_DX, 0.0, 512, 256),
+])
+def test_shift_csr_equals_the_coo_assembly(dx, dy, width, height):
+    assert_same_csr(build_shift(dx, dy, width, height).matrix,
+                    coo_build_shift_matrix(dx, dy, width, height))
 
 
 def test_apply_shift_validates_image_shape():

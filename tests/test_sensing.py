@@ -1,6 +1,7 @@
 """Hadamard sensing: transform, row selection, measurement and MVM1 files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,58 @@ def test_select_rows_runs_of_rejections_mid_selection(monkeypatch):
     assert np.array_equal(rows, sequential_select_rows(64, 64, stream.sequential))
     assert stream.sequential.position == 63 + 3
     assert stream.starts == [0, 6, 7, 8]
+
+
+def adversarial_offsets(order, count, pattern):
+    """Stream values that force draw i's offset below(m), m = order - 1 - i:
+    all 0 (every draw swaps with itself), all 1 (each draw writes the next
+    draw's position, one chain through every draw), m - 1 (every draw
+    writes the last position), or a mix of the three with the stream's
+    own values, which puts far-away and low positions in one sort."""
+    values = {}
+    for i in range(count - 1):
+        m = order - 1 - i
+        forced = {"self": 0, "chain": 1, "last": m - 1,
+                  "mixed": (1, m - 1, None)[i % 3]}[pattern]
+        if forced is not None:
+            values[i] = forced
+    return values
+
+
+@pytest.mark.parametrize("pattern", ["self", "chain", "last", "mixed"])
+@pytest.mark.parametrize("order,count", [(2, 2), (64, 64), (4096, 1024)])
+def test_select_rows_walks_adversarial_offsets(monkeypatch, order, count, pattern):
+    stream = InjectedStream(11, adversarial_offsets(order, count, pattern))
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    rows = select_rows(order, count / order, 11)
+    assert np.array_equal(rows, sequential_select_rows(order, count, stream.sequential))
+
+
+@pytest.mark.parametrize("pattern", [None, "chain", "mixed"])
+@pytest.mark.parametrize("log2_order", [40, 60])
+def test_select_rows_at_huge_orders_allocates_per_draw(monkeypatch, log2_order, pattern):
+    """A thousand rows from an order of 2**40 or 2**60: the result equals
+    the sequential loop's, and the peak traced allocation stays far below
+    one order-sized array.  The mixed offsets put positions near 2**60 and
+    below 1000 into one sort, where a sort key of j * draws + i overflows."""
+    order, count = 1 << log2_order, 1000
+    stream = InjectedStream(3, adversarial_offsets(order, count, pattern)
+                            if pattern else {})
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    tracemalloc.start()
+    try:
+        rows = select_rows(order, count / order, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, sequential_select_rows(order, count, stream.sequential))
+    assert peak < 1 << 20
+
+
+def test_select_rows_rejects_orders_beyond_int64():
+    assert select_rows(1 << 63, 1.0 / (1 << 62), 0).max() < 1 << 63
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        select_rows(1 << 64, 1.0 / (1 << 62), 0)
 
 
 @pytest.mark.parametrize("order,rate", [(63, 0.5), (0, 0.5), (64, 0.0),

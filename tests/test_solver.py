@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mvlci import sensing, solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
@@ -27,6 +28,7 @@ from mvlci.solver import (
     tv_seminorm,
     tv_shrink,
 )
+from test_geometry import assert_same_csr
 
 
 def make_spec(order, rate, seed, pixel_count):
@@ -432,6 +434,26 @@ def test_pair_average_matrix_averages_pairs():
     hr = np.arange(24, dtype=np.float64).reshape(3, 8)
     lo = (s @ hr.ravel()).reshape(3, 4)
     assert np.array_equal(lo, 0.5 * (hr[:, 0::2] + hr[:, 1::2]))
+
+
+def coo_pair_average_matrix(width, height):
+    """The sampling matrix built from (row, col) triplets, the reference
+    that the directly written CSR arrays must match array for array."""
+    n_lo = width * height
+    rows = np.repeat(np.arange(n_lo, dtype=np.int64), 2)
+    y, x = np.divmod(np.arange(n_lo, dtype=np.int64), width)
+    cols = np.empty(2 * n_lo, dtype=np.int64)
+    cols[0::2] = y * (2 * width) + 2 * x
+    cols[1::2] = y * (2 * width) + 2 * x + 1
+    vals = np.full(2 * n_lo, 0.5)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_lo, 2 * n_lo))
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (1, 5), (4, 3), (7, 2),
+                                          (64, 64), (256, 256)])
+def test_pair_average_csr_equals_the_triplet_assembly(width, height):
+    assert_same_csr(_pair_average_matrix(width, height),
+                    coo_pair_average_matrix(width, height))
 
 
 def test_superres_rejects_integer_offsets():

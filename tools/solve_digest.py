@@ -13,9 +13,13 @@ Covered at full size (the default): single/joint/superres at 64x64 with
 SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
 seven-vector stacked single solve with epsilon > 0, fig3/fig4 at noise 0
 and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
-`--sensor 1 --verbose`, `--sensor all`, joint and superres), and the rows
+`--sensor 1 --verbose`, `--sensor all`, joint and superres), the rows
 select_rows picks at (2**18, 0.25, 7), (65536, 1.0, -1) and
-(4096, 0.125, 2**64 + 3); 10-20 s on two cores.
+(4096, 0.125, 2**64 + 3), and the CSR arrays of six sparse operators:
+build_shift at the study shift on 64x64, at the benchmark shift on
+256x256 and at twice it on the 512x256 superres grid, an integer shift
+with dy != 0 and a negative fractional shift, and the 64x64 superres
+pair-average sampling; 10-20 s on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
 CLI, each for at most 20 iterations (a fraction of a second; the test
 suite runs it).
@@ -37,10 +41,11 @@ import numpy as np
 from mvlci.cli import main as cli_main
 from mvlci.experiments import run_measurement_increase, run_superres
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
-from mvlci.scene import CameraGeometry, make_test_scene, render_view
+from mvlci.scene import CameraGeometry, make_test_scene, parallax_shift, render_view
 from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, select_rows
 from mvlci.solver import (
     SolverConfig,
+    _pair_average_matrix,
     epsilon_for_noise,
     reconstruct_joint,
     reconstruct_single,
@@ -159,6 +164,27 @@ def _rows(h) -> None:
         _put(h, f"rows.{order}.{rate}.{seed}", select_rows(order, rate, seed))
 
 
+def _operators(h) -> None:
+    """Shape, indptr, indices and data (each with its dtype) of the shift
+    and sampling operators the solves build."""
+    geo = CameraGeometry(aperture_width=64, aperture_height=64,
+                         sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
+                         sensor_plane_distance=1.0, scene_distance=1.0e7)
+    dx_eff, _ = parallax_shift(geo, 2)
+    mats = {
+        "shift.64": build_shift(dx_eff, 0.0, 64, 64).matrix,
+        "shift.256": build_shift(dx_eff, 0.0, 256, 256).matrix,
+        "shift.superres.512x256": build_shift(2.0 * dx_eff, 0.0, 512, 256).matrix,
+        "shift.integer": build_shift(3.0, -2.0, 64, 64).matrix,
+        "shift.negative": build_shift(-2.5, -1.25, 64, 48).matrix,
+        "pair_average.64": _pair_average_matrix(64, 64),
+    }
+    for name, mat in mats.items():
+        _put(h, f"{name}.shape", mat.shape)
+        for part in ("indptr", "indices", "data"):
+            _put(h, f"{name}.{part}", getattr(mat, part))
+
+
 def digest(reduced: bool = False) -> str:
     """The hex SHA-256 over every covered output (see the module docstring)."""
     h = hashlib.sha256()
@@ -174,6 +200,7 @@ def digest(reduced: bool = False) -> str:
     _studies(h)
     _cli(h, 80)
     _rows(h)
+    _operators(h)
     return h.hexdigest()
 
 

@@ -37,7 +37,6 @@ from .geometry import (
     apply_shift,
     build_region_masks,
     build_shift,
-    decompose,
 )
 from .solver import (
     ReconstructionResult,
@@ -48,7 +47,6 @@ from .solver import (
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
-    tv_seminorm,
     tv_shrink,
 )
 from .experiments import (
@@ -78,7 +76,6 @@ __all__ = [
     "build_shift",
     "clamp01",
     "config_for_noise",
-    "decompose",
     "epsilon_for_noise",
     "fwht",
     "make_test_scene",
@@ -97,7 +94,6 @@ __all__ = [
     "run_superres",
     "select_rows",
     "ssim",
-    "tv_seminorm",
     "tv_shrink",
     "upsample2x_horizontal",
     "write_mvm",

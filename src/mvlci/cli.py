@@ -139,8 +139,7 @@ def cmd_reconstruct(args) -> int:
             raise _UsageError(f"{flag} must be finite, got {value}")
     ms = read_mvm(args.meas)
     base = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                        sigma=_parse_sigma(args.sigma), epsilon=args.epsilon,
-                        verbose=args.verbose)
+                        sigma=_parse_sigma(args.sigma), epsilon=args.epsilon)
     # the noise ball is sized from sensor 1, or from the one sensor solved
     cfg = config_for_noise(base, ms.noise_sigma, ms.values[0])
     written = {}
@@ -182,6 +181,12 @@ def cmd_reconstruct(args) -> int:
                    "disjoint2": res.disjoint2}
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown mode {args.mode}")
+    if args.verbose:
+        for t, (obj, res_rel) in enumerate(
+                zip(res.objective_history, res.residual_history), start=1):
+            print(f"iter={t} obj={obj:.6e}" + "".join(
+                f" res{k}={r:.3e}" for k, r in enumerate(res_rel, start=1)),
+                file=sys.stderr)
 
     # created only now, so a run that fails leaves no empty directory behind
     outdir = Path(args.out)
@@ -194,8 +199,8 @@ def cmd_reconstruct(args) -> int:
         "tol": repr(args.tol), "max_iters": args.max_iters,
         "epsilon": repr(cfg.epsilon), "out": outdir,
         "iterations": res.iterations, "converged": int(res.converged),
-        "objective": f"{res.objective:.6e}",
-        "residuals": ",".join(f"{r:.6e}" for r in res.residuals),
+        "objective": f"{res.objective_history[-1]:.6e}",
+        "residuals": ",".join(f"{r:.6e}" for r in res.residual_history[-1]),
         "outputs": ",".join(sorted(written)),
         "wall_time_s": f"{time.perf_counter() - t0:.3f}",
     })
@@ -295,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1.0e-4)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="after the solve, print one line per iteration on stderr")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

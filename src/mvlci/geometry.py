@@ -9,8 +9,7 @@ with bilinear interpolation and zero fill outside the grid.  build_shift
 materializes that resampling as a sparse matrix U (at most 4 entries per
 row); for integer shifts it degenerates to a partial permutation with
 exact 0/1 entries.  Region masks split each view into the part both
-sensors can see and the per-sensor border strips, and decompose() splits
-a rendered view pair into those components.
+sensors can see and the per-sensor border strips.
 """
 
 from __future__ import annotations
@@ -147,21 +146,3 @@ def _stencil_inside(dx, dy, width, height, sign):
     okx = (xs >= 0.0) & (xs <= width - 1.0)
     oky = (ys >= 0.0) & (ys <= height - 1.0)
     return oky[:, None] & okx[None, :]
-
-
-def decompose(view1: np.ndarray, view2: np.ndarray, masks: RegionMasks,
-              shift: ShiftOperator):
-    """Split a view pair into common and per-sensor disjoint components.
-
-    Returns (common, disjoint1, disjoint2) with view1 == common + disjoint1
-    exactly and view2 == shift(common) + disjoint2 exactly on the disjoint
-    strip (and up to interpolation error elsewhere).
-    """
-    v1 = np.asarray(view1, dtype=np.float64)
-    v2 = np.asarray(view2, dtype=np.float64)
-    if v1.shape != masks.common.shape or v2.shape != masks.common.shape:
-        raise ValueError("view shapes must match the mask grid")
-    common = np.where(masks.common, v1, 0.0)
-    d1 = np.where(masks.disjoint[0], v1, 0.0)
-    d2 = np.where(masks.disjoint[1], v2 - apply_shift(shift, common), 0.0)
-    return common, d1, d2

@@ -29,11 +29,10 @@ SCENE_KINDS = ("blocks", "gradient-bars", "checker-text")
 
 @dataclass
 class SceneModel:
-    """Planar scene: a base image in [0, 1] at distance Z from the aperture."""
+    """Planar scene: a base image in [0, 1].  Its distance Z from the
+    aperture is CameraGeometry.scene_distance."""
 
     base: np.ndarray
-    scene_distance: float
-    description: str = ""
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=np.float64)
@@ -43,8 +42,6 @@ class SceneModel:
             raise ValueError("scene base contains non-finite values")
         if self.base.min() < 0.0 or self.base.max() > 1.0:
             raise ValueError("scene base values must lie in [0, 1]")
-        if self.scene_distance <= 0.0:
-            raise ValueError("scene distance must be positive")
 
 
 @dataclass
@@ -166,8 +163,7 @@ def make_test_scene(kind: str, width: int, height: int, seed: int) -> SceneModel
         img = _checker_text(width, height, SplitMix64(seed))
     else:
         raise ValueError(f"unknown scene kind {kind!r}; choose from {SCENE_KINDS}")
-    return SceneModel(base=img, scene_distance=1.0e6,
-                      description=f"{kind} {width}x{height} seed={seed}")
+    return SceneModel(base=img)
 
 
 def _blocks(w: int, h: int, rng: SplitMix64) -> np.ndarray:

@@ -238,6 +238,8 @@ class MeasurementSet:
         for v in self.values:
             if v.shape != (self.spec.count,):
                 raise ValueError("each sensor vector must match the row count")
+        if self.width < 1 or self.height < 1:
+            raise ValueError("width and height must be >= 1")
         if self.width * self.height != self.spec.pixel_count:
             raise ValueError("width*height must equal spec.pixel_count")
         if not 0.0 < self.rate <= 1.0:
@@ -285,7 +287,12 @@ _MVM_FLOAT_KEYS = ("rate", "noise_sigma")
 
 def write_mvm(path, ms: MeasurementSet) -> None:
     """Serialize a measurement set: text header, then row indices as
-    little-endian u32 and per-sensor values as little-endian f64."""
+    little-endian u32 and per-sensor values as little-endian f64.  A row
+    index u32 cannot hold (order above 2**32) raises ValueError before the
+    file is opened."""
+    if ms.spec.rows.max() >= 1 << 32:
+        raise ValueError(
+            f"row {ms.spec.rows.max()} exceeds the u32 row indices of MVM1")
     header = (
         f"{_MVM_MAGIC}\n"
         f"order={ms.spec.order}\n"

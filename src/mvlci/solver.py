@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -66,7 +65,6 @@ class SolverConfig:
     rel_tol: float = 1.0e-4
     sigma: float | str = "auto"       # weight of the disjoint-region TV terms
     epsilon: float = 0.0              # measurement fidelity ball (0 = equality)
-    verbose: bool = False             # one line per iteration on stderr
 
     def __post_init__(self):
         for name in ("rel_tol", "epsilon"):
@@ -97,11 +95,9 @@ class ReconstructionResult:
     view2: np.ndarray | None = None
     iterations: int = 0
     converged: bool = False
-    residuals: list = field(default_factory=list)
-    objective: float = 0.0
     sigma: float | None = None
-    objective_history: np.ndarray | None = None
-    residual_history: np.ndarray | None = None
+    objective_history: np.ndarray | None = None    # (iterations,)
+    residual_history: np.ndarray | None = None     # (iterations, blocks), relative
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +122,6 @@ def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
     out[1:, :] += gy[:-1, :]
     out[:-1, :] -= gy[:-1, :]
     return out
-
-
-def tv_seminorm(image: np.ndarray) -> float:
-    """Anisotropic total variation: sum |dx I| + |dy I|."""
-    return float(np.abs(tv_grad(image)).sum())
 
 
 def tv_shrink(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -320,12 +311,9 @@ class _Engine:
 
         obj_hist = []
         res_hist = []
-        last_res = [0.0] * nb
         converged = False
-        iterations = 0
 
         for t in range(1, cfg.max_iters + 1):
-            iterations = t
             # shrinkage step on the gradient splits
             for ci, c in enumerate(self.comps):
                 wl[ci] = tv_shrink(g[ci] + ll[ci] / mu, c.weight / mu)
@@ -374,13 +362,7 @@ class _Engine:
             res_rel = [res_abs[bi] / (self.znorm[bi] if self.znorm[bi] > 0.0 else 1.0)
                        for bi in range(nb)]
             obj_hist.append(obj)
-            res_hist.append(max(res_rel))
-            last_res = res_rel
-
-            if cfg.verbose:
-                line = f"iter={t} obj={obj:.6e}" + "".join(
-                    f" res{bi + 1}={res_rel[bi]:.3e}" for bi in range(nb))
-                print(line, file=sys.stderr)
+            res_hist.append(res_rel)
 
             diff = math.sqrt(sum(float(np.sum((a - b) ** 2))
                                  for a, b in zip(xl, x_old)))
@@ -396,10 +378,8 @@ class _Engine:
                 mu = min(2.0 * mu, cap)
 
         return xl, ReconstructionResult(
-            iterations=iterations,
+            iterations=len(obj_hist),
             converged=converged,
-            residuals=last_res,
-            objective=obj_hist[-1] if obj_hist else 0.0,
             objective_history=np.asarray(obj_hist),
             residual_history=np.asarray(res_hist),
         )
@@ -446,12 +426,16 @@ def _resolve_sigma(cfg: SolverConfig, masks) -> float:
 
 
 def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
-    """The measurement vectors of one solve, checked and as float64."""
+    """The measurement vectors of one solve as float64, each checked to
+    hold one value per selected row."""
     if width * height != spec.pixel_count:
         raise ValueError("width*height must equal spec.pixel_count")
     zs = [np.asarray(z, dtype=np.float64) for z in zs]
-    if any(z.shape != zs[0].shape for z in zs):
-        raise ValueError("z1 and z2 must have the same length")
+    for z in zs:
+        if z.shape != (spec.count,):
+            raise ValueError(
+                "measurement vectors must have the same length as the spec's "
+                f"row count ({spec.count}), got shape {z.shape}")
     return zs
 
 
@@ -464,8 +448,9 @@ def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int
     independent fidelity constraint.
     """
     cfg = cfg or SolverConfig()
-    (z,) = _measurements(spec, width, height, z)
-    zs = z[None, :] if z.ndim == 1 else z
+    z = np.asarray(z, dtype=np.float64)
+    # a non-empty stack is checked row by row; anything else as one vector
+    zs = _measurements(spec, width, height, *(z if z.ndim == 2 and len(z) else [z]))
     comps = [_Comp((height, width), None, 1.0)]
     blocks = [_Block(zrow, [(0, None)]) for zrow in zs]
     (image,), res = _Engine(comps, blocks, spec, cfg).run()

@@ -219,19 +219,29 @@ def test_reconstruct_single_writes_image_and_manifest(colocated, tmp_path):
     assert manifest["outputs"] == "recon"
 
 
+@pytest.mark.parametrize("mode, blocks", [("single", 1), ("joint", 2)],
+                         ids=["single", "joint"])
 def test_reconstruct_verbose_logs_each_iteration_to_stderr(colocated, tmp_path,
-                                                           capsys):
+                                                           capsys, mode, blocks):
+    """One line per iteration with one residual column per measurement
+    block; the last line agrees with the manifest."""
+    out = tmp_path / "rec"
     assert main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
-                 "--verbose", "--max-iters", "3",
-                 "--out", str(tmp_path / "rec")]) == 0
+                 "--mode", mode, "--dx", "0", "--verbose", "--max-iters", "3",
+                 "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().split("\n")
     assert 1 <= len(lines) <= 3
-    pat = re.compile(r"^iter=\d+ obj=\d\.\d{6}e[+-]\d{2,3} res1=\d\.\d{3}e[+-]\d{2,3}$")
+    res = "".join(rf" res{k}=\d\.\d{{3}}e[+-]\d{{2,3}}" for k in range(1, blocks + 1))
+    pat = re.compile(rf"^iter=\d+ obj=\d\.\d{{6}}e[+-]\d{{2,3}}{res}$")
     for idx, line in enumerate(lines):
         assert pat.match(line), line
         assert line.startswith(f"iter={idx + 1} ")
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["iterations"] == str(len(lines))
+    assert f" obj={manifest['objective']} " in lines[-1]
+    assert len(manifest["residuals"].split(",")) == blocks
 
 
 def test_reconstruct_zero_measurements_give_a_black_image(tmp_path):

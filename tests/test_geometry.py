@@ -1,4 +1,4 @@
-"""Shift operators, region masks and view decomposition."""
+"""Shift operators and region masks."""
 
 import math
 
@@ -12,7 +12,6 @@ from mvlci.geometry import (
     apply_shift,
     build_region_masks,
     build_shift,
-    decompose,
 )
 from mvlci.scene import CameraGeometry, parallax_shift
 
@@ -205,49 +204,3 @@ def test_masks_partition_each_grid():
 def test_common_for_reference_sensor_is_common():
     masks = build_region_masks(3.5, 0.0, 16, 16)
     assert masks.common_for(1) is masks.common
-
-
-# ---------------------------------------------------------------------------
-# decomposition
-# ---------------------------------------------------------------------------
-
-def test_decompose_reassembles_integer_shift_views():
-    # view2(x) = view1(x - dx): sensor 2's window slides left in the base
-    rng = np.random.default_rng(5)
-    base = rng.uniform(size=(16, 24))
-    dx = 3.0
-    view1 = base[:, 3 : 23]
-    view2 = base[:, : 20]
-    masks = build_region_masks(dx, 0.0, 20, 16)
-    shift = build_shift(dx, 0.0, 20, 16)
-    common, d1, d2 = decompose(view1, view2, masks, shift)
-    assert np.allclose(common + d1, view1, atol=1e-14)
-    shifted = apply_shift(shift, common)
-    assert np.allclose(shifted + d2, view2, atol=1e-12)
-    # supports are disjoint and match the masks
-    assert not np.any(common[~masks.common])
-    assert not np.any(d1[~masks.disjoint[0]])
-    assert not np.any(d2[~masks.disjoint[1]])
-
-
-def test_decompose_fractional_shift_on_a_ramp():
-    w, h, dx = 30, 10, 2.5
-    xs = np.arange(w + 3, dtype=np.float64) / (w + 2)
-    base = np.tile(xs, (h, 1))
-    view1 = base[:, 3 : 3 + w]
-    # view2(x) = view1(x - 2.5) = base(x + 0.5)
-    view2 = 0.5 * (base[:, : w] + base[:, 1 : w + 1])
-    masks = build_region_masks(dx, 0.0, w, h)
-    shift = build_shift(dx, 0.0, w, h)
-    common, d1, d2 = decompose(view1, view2, masks, shift)
-    assert np.allclose(common + d1, view1, atol=1e-14)
-    err = apply_shift(shift, common) + d2 - view2
-    # exact except one seam column where the stencil straddles the mask edge
-    assert np.max(np.abs(err[:, : w - 1])) < 1e-12
-
-
-def test_decompose_validates_shapes():
-    masks = build_region_masks(1.0, 0.0, 8, 8)
-    shift = build_shift(1.0, 0.0, 8, 8)
-    with pytest.raises(ValueError, match="shapes"):
-        decompose(np.zeros((8, 9)), np.zeros((8, 8)), masks, shift)

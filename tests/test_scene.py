@@ -54,9 +54,7 @@ def test_tiny_scene_raises():
 
 def test_scene_model_validates_range():
     with pytest.raises(ValueError):
-        SceneModel(base=np.array([[2.0]]), scene_distance=1.0)
-    with pytest.raises(ValueError):
-        SceneModel(base=np.array([[0.5]]), scene_distance=0.0)
+        SceneModel(base=np.array([[2.0]]))
 
 
 def test_blocks_scene_is_piecewise_constant():
@@ -139,7 +137,7 @@ def test_integer_shift_view_is_a_column_slice():
 
 
 def test_views_box_average_doubled_scenes():
-    scene = SceneModel(base=np.full((32, 128), 0.25), scene_distance=1.0e6)
+    scene = SceneModel(base=np.full((32, 128), 0.25))
     geo = CameraGeometry(aperture_width=64, aperture_height=32)
     view = render_view(scene, geo, 1)
     assert view.shape == (32, 64)
@@ -149,7 +147,7 @@ def test_views_box_average_doubled_scenes():
 def test_fractional_shift_interpolates_linear_ramp():
     w = 40
     ramp = np.tile(np.linspace(0.0, 1.0, w + 8), (16, 1))
-    scene = SceneModel(base=ramp, scene_distance=1.0e9)
+    scene = SceneModel(base=ramp)
     geo = _two_sensor_geometry(w, 16, 1.5, z=1.0e9)
     v1 = render_view(scene, geo, 1)
     v2 = render_view(scene, geo, 2)

@@ -1,7 +1,6 @@
 """TV pieces, the augmented-Lagrangian engine and the reconstruction APIs."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from mvlci.solver import (
     reconstruct_superres,
     tv_grad,
     tv_grad_adjoint,
-    tv_seminorm,
     tv_shrink,
 )
 from test_geometry import assert_same_csr
@@ -43,11 +41,11 @@ def make_spec(order, rate, seed, pixel_count):
 def test_tv_of_a_vertical_step_edge():
     img = np.zeros((8, 8))
     img[:, 4:] = 1.0
-    assert tv_seminorm(img) == 8.0
+    assert np.abs(tv_grad(img)).sum() == 8.0
 
 
 def test_tv_of_a_constant_is_zero():
-    assert tv_seminorm(np.full((5, 9), 0.7)) == 0.0
+    assert not tv_grad(np.full((5, 9), 0.7)).any()
 
 
 def test_tv_grad_shape_and_replicate_boundary():
@@ -167,11 +165,9 @@ def test_joint_solve_is_bit_identical_with_the_full_power_loop(monkeypatch):
     ref = solve()
     assert fast.iterations == ref.iterations > 50
     assert fast.converged == ref.converged
-    assert fast.objective == ref.objective
     for name in ("common", "disjoint1", "disjoint2", "view1", "view2",
                  "objective_history", "residual_history"):
         assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
-    assert fast.residuals == ref.residuals
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +290,10 @@ def test_converged_run_satisfies_the_residual_criterion():
     cfg = SolverConfig(rel_tol=1e-4)
     res = reconstruct_single(z, spec, 16, 16, cfg)
     assert res.converged
-    for r in res.residuals:
+    for r in res.residual_history[-1]:
         assert r <= cfg.rel_tol * (1.0 + 1e-12)
-    assert len(res.residual_history) == res.iterations
+    assert res.residual_history.shape == (res.iterations, 1)
+    assert res.objective_history.shape == (res.iterations,)
 
 
 def test_epsilon_ball_relaxes_the_fit():
@@ -308,7 +305,7 @@ def test_epsilon_ball_relaxes_the_fit():
     res = reconstruct_single(z, spec, 16, 16, cfg)
     assert res.converged
     bound = max(cfg.rel_tol, eps / np.linalg.norm(z))
-    for r in res.residuals:
+    for r in res.residual_history[-1]:
         assert r <= bound * (1.0 + 1e-9)
 
 
@@ -339,17 +336,16 @@ def test_single_view_validates_pixel_count():
         reconstruct_single(np.zeros(spec.count), spec, 8, 9)
 
 
-def test_verbose_log_format(capsys):
+def test_single_rejects_wrong_length_measurements():
+    """A vector or a (k, count) stack; anything else is refused up front,
+    naming the row count, instead of failing inside the adjoint."""
     spec = make_spec(64, 0.5, 0, pixel_count=64)
-    z = measure(np.linspace(0.0, 1.0, 64), spec)
-    cfg = SolverConfig(max_iters=5, verbose=True)
-    reconstruct_single(z, spec, 8, 8, cfg)
-    lines = capsys.readouterr().err.strip().split("\n")
-    assert 1 <= len(lines) <= 5
-    pat = re.compile(r"^iter=\d+ obj=\d\.\d{6}e[+-]\d{2,3} res1=\d\.\d{3}e[+-]\d{2,3}$")
-    for idx, line in enumerate(lines):
-        assert pat.match(line), line
-        assert line.startswith(f"iter={idx + 1} ")
+    z = np.zeros(spec.count)
+    for bad in (z[:-1], np.append(z, 0.0), np.zeros((2, spec.count - 1)),
+                np.zeros((0, spec.count)), np.zeros((2, 3, spec.count)),
+                np.float64(0.0)):
+        with pytest.raises(ValueError, match=f"row count \\({spec.count}\\)"):
+            reconstruct_single(bad, spec, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +402,15 @@ def test_degenerate_joint_equals_stacked_single():
     single = reconstruct_single(np.stack([z, z]), spec, 16, 16)
     diff = np.linalg.norm(joint.view1 - single.image)
     assert diff <= 1e-6 * max(1.0, np.linalg.norm(single.image))
+
+
+def test_joint_rejects_wrong_length_measurements():
+    """Joint mode takes one vector per sensor, never a stack."""
+    spec, masks, shift, _, _, z1, z2 = joint_problem()
+    for bad in (z1[:-1], np.append(z1, 0.0), np.stack([z1, z1])):
+        for pair in ((bad, z2), (z1, bad)):
+            with pytest.raises(ValueError, match=f"row count \\({spec.count}\\)"):
+                reconstruct_joint(*pair, spec, 16, 16, shift, masks)
 
 
 def test_joint_validates_inputs():
@@ -482,6 +487,15 @@ def test_superres_output_is_double_width():
     # a constant scene should come back constant on the doubled grid
     interior = res.image[:, 8:-8]
     assert np.max(np.abs(interior - 0.4)) < 5e-3
+
+
+def test_superres_rejects_wrong_length_measurements():
+    spec = make_spec(256, 0.5, 0, pixel_count=256)
+    z = np.zeros(spec.count)
+    for bad in (z[1:], np.append(z, 0.0), np.stack([z, z])):
+        for pair in ((bad, z), (z, bad)):
+            with pytest.raises(ValueError, match=f"row count \\({spec.count}\\)"):
+                reconstruct_superres(*pair, spec, 16, 16, 3.5)
 
 
 def test_superres_validates_measurement_lengths():

@@ -2,7 +2,8 @@
 
 Two source trees that print the same digest give the same bits on every
 output covered: each field of each ReconstructionResult (arrays by dtype,
-shape and bytes; scalars and lists by repr), the fig3/fig4 reports, and
+shape and bytes; scalars and lists by repr; see _put_result for the fields
+derived from the histories), the fig3/fig4 reports, and
 the files `mvlci measure` and `mvlci reconstruct` write (manifest
 `wall_time_s` lines excluded) and what each reconstruct prints to stderr.  The package is imported from PYTHONPATH,
 so the digest of another checkout is
@@ -66,8 +67,22 @@ def _put(h, label: str, value) -> None:
 
 
 def _put_result(h, label: str, res) -> None:
-    for f in dataclasses.fields(res):
-        _put(h, f"{label}.{f.name}", getattr(res, f.name))
+    """Every field of `res`, hashed as the result type had them before its
+    `residuals` and `objective` fields were dropped: those two are derived
+    from the histories' last entries and spliced in before `sigma`, and
+    `residual_history` is reduced to its per-iteration maximum over blocks.
+    A digest from a tree with the old fields is then comparable."""
+    derived = {
+        "residuals": [float(r) for r in res.residual_history[-1]],
+        "objective": float(res.objective_history[-1]),
+        "residual_history": res.residual_history.max(axis=1),
+    }
+    names = [f.name for f in dataclasses.fields(res)]
+    at = names.index("sigma")
+    names[at:at] = ["residuals", "objective"]
+    for name in names:
+        value = derived[name] if name in derived else getattr(res, name)
+        _put(h, f"{label}.{name}", value)
 
 
 def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:

@@ -23,6 +23,13 @@ Support constraints (c zero off the common region, dk zero off sensor k's
 border strip) are enforced by projection inside the inner solve, so they
 hold bitwise at the output.  With epsilon > 0 the equality constraints
 relax to ||A x - z|| <= epsilon (set it from noise via epsilon_for_noise).
+
+Across an iteration the engine keeps x, the splits w = D x with their
+multipliers, the fidelity multipliers, and g = E D x and A x of the current
+x.  The shrink, both multiplier updates, the right-hand side and the CG
+vectors are updated in place; the normal operator forms one component's
+gradient or one block's measurements at a time and drops it once taken
+back through its adjoint.
 """
 
 from __future__ import annotations
@@ -124,10 +131,12 @@ def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def tv_shrink(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold toward zero: sign(v) * max(|v| - threshold, 0)."""
+def tv_shrink(values: np.ndarray, threshold: float, out=None) -> np.ndarray:
+    """Soft threshold toward zero: sign(v) * max(|v| - threshold, 0), into
+    `out` when given (it may be `values` itself)."""
     v = np.asarray(values, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    mag = np.maximum(np.abs(v) - threshold, 0.0)
+    return np.multiply(np.sign(v, out=out), mag, out=out)
 
 
 def epsilon_for_noise(noise_sigma: float, z: np.ndarray) -> float:
@@ -182,20 +191,20 @@ class _Comp:
     mask: np.ndarray | None   # bool (h, w) or None for full support
     weight: float             # l1 weight on its TV term
 
-    def edge_mask(self) -> np.ndarray:
-        """0/1 mask of TV differences interior to the support.
+    def edge_mask(self) -> np.ndarray | None:
+        """Bool mask of TV differences interior to the support; None for
+        full support, where tv_grad already zeroes the replicate border.
 
         Differences that straddle the support boundary are excluded, so a
         component pays no TV for the cliff between its content and the
         zeroed-out remainder of the canvas.
         """
-        e = np.ones((2,) + self.shape)
-        e[0][:, -1] = 0.0
-        e[1][-1, :] = 0.0
-        if self.mask is not None:
-            m = self.mask.astype(np.float64)
-            e[0][:, :-1] *= m[:, :-1] * m[:, 1:]
-            e[1][:-1, :] *= m[:-1, :] * m[1:, :]
+        if self.mask is None:
+            return None
+        m = self.mask
+        e = np.zeros((2,) + self.shape, dtype=bool)
+        e[0][:, :-1] = m[:, :-1] & m[:, 1:]
+        e[1][:-1, :] = m[:-1, :] & m[1:, :]
         return e
 
 
@@ -229,44 +238,48 @@ class _Engine:
         self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
         self.eps = cfg.epsilon / self.scale
         self.edges = [c.edge_mask() for c in comps]
-        self.ops_t = {}
-        for bi, b in enumerate(blocks):
-            for ti, (ci, op) in enumerate(b.terms):
-                if op is not None:
-                    self.ops_t[(bi, ti)] = op.T.tocsr()
+        # each term with its operator's transpose, taken once: op.T is a CSC
+        # view of the CSR op that sums in the order a CSR copy of it would
+        self.terms = [[(ci, op, None if op is None else op.T) for ci, op in b.terms]
+                      for b in blocks]
 
     # -- linear pieces ------------------------------------------------------
 
     def _forward(self, xl, bi):
         """A_bar applied to the composed image of block bi."""
-        b = self.blocks[bi]
         img = None
-        for ci, op in b.terms:
+        for ci, op, _ in self.terms[bi]:
             v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
-            img = v.copy() if img is None else img + v
+            img = v if img is None else img + v
         return _measure_flat(img, self.spec) / self.scale
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
         g = _adjoint_flat(r, self.spec) / self.scale
-        for ti, (ci, op) in enumerate(self.blocks[bi].terms):
-            v = g if op is None else self.ops_t[(bi, ti)] @ g
+        for ci, op, op_t in self.terms[bi]:
+            v = g if op is None else op_t @ g
             out[ci] += factor * v.reshape(self.comps[ci].shape)
 
     def _forwards(self, xl):
         """A_bar B_b x for every block b."""
         return [self._forward(xl, bi) for bi in range(len(self.blocks))]
 
-    def _grads(self, xl):
-        """E_c D x_c for every component c: its masked TV differences."""
-        return [e * tv_grad(x) for e, x in zip(self.edges, xl)]
+    def _grad(self, x, ci):
+        """E_c D x_c: component ci's masked TV differences."""
+        g, e = tv_grad(x), self.edges[ci]
+        return g if e is None else np.multiply(g, e, out=g)
 
-    def _normal(self, gl, fl, mu):
-        """H x = mu (D^T g + sum_b (A_bar B_b)^T f_b), projected, from
-        gl = _grads(x) and fl = _forwards(x)."""
-        out = [mu * tv_grad_adjoint(g) for g in gl]
-        for bi, f in enumerate(fl):
-            self._backward(f, bi, out, mu)
+    def _normal(self, xl, mu, g=None, fwd=None):
+        """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected.
+        Each E_c D x_c and A_bar B_b x is dropped once taken back through its
+        adjoint; a caller that carries them for this x passes them as g, fwd."""
+        out = [tv_grad_adjoint(self._grad(x, ci) if g is None else g[ci])
+               for ci, x in enumerate(xl)]
+        for h in out:
+            h *= mu
+        for bi in range(len(self.blocks)):
+            self._backward(self._forward(xl, bi) if fwd is None else fwd[bi],
+                           bi, out, mu)
         self._project(out)
         return out
 
@@ -303,10 +316,10 @@ class _Engine:
         # the next shrink, the next fidelity targets and the next CG's
         # warm-start residual.  Each use sees the same bits it would get by
         # recomputing the product on the same x.
-        g = self._grads(xl)
+        g = [self._grad(x, ci) for ci, x in enumerate(xl)]
         fwd = self._forwards(xl)
-        wl = list(g)
-        ll = [np.zeros_like(w) for w in wl]       # multipliers for D x = w
+        wl = [np.empty_like(gc) for gc in g]      # splits w = D x
+        ll = [np.zeros_like(gc) for gc in g]      # multipliers for D x = w
         nu = [np.zeros_like(z) for z in self.zbar]  # multipliers for A x = z
 
         obj_hist = []
@@ -316,7 +329,9 @@ class _Engine:
         for t in range(1, cfg.max_iters + 1):
             # shrinkage step on the gradient splits
             for ci, c in enumerate(self.comps):
-                wl[ci] = tv_shrink(g[ci] + ll[ci] / mu, c.weight / mu)
+                w = np.divide(ll[ci], mu, out=wl[ci])
+                w += g[ci]
+                tv_shrink(w, c.weight / mu, out=w)
             # fidelity targets: equality, or projection onto the eps ball
             targets = []
             for bi in range(nb):
@@ -329,31 +344,36 @@ class _Engine:
                     targets.append(self.zbar[bi] + shrink * r)
 
             # quadratic subproblem by projected conjugate gradients
-            rhs = [mu * tv_grad_adjoint(wl[ci] - ll[ci] / mu)
-                   for ci in range(len(self.comps))]
+            rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]
+            for h in rhs:
+                h *= mu
             for bi in range(nb):
                 self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
             self._project(rhs)
 
             x_prev_norm = math.sqrt(self._dot(xl, xl))
-            # the warm-start residual reuses g and fwd; both are dropped
-            # before CG allocates its work lists
-            r0 = [b - h for b, h in zip(rhs, self._normal(g, fwd, mu))]
+            # the warm-start residual rhs - H x reuses g and fwd and is
+            # written over H x; g, fwd and rhs are dropped before CG runs
+            r0 = self._normal(xl, mu, g, fwd)
             g = fwd = None
+            for ci, h in enumerate(r0):
+                np.subtract(rhs[ci], h, out=h)
+            target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
+            rhs = None
             x_old = xl    # _cg iterates on copies
-            xl = self._cg(xl, rhs, r0, mu)
+            xl = self._cg(xl, r0, target, mu)
             self._project(xl)
 
             if not all(np.all(np.isfinite(x)) for x in xl):
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
-            # dual updates
+            # dual updates (wl is scratch until the next shrink)
             fwd = self._forwards(xl)
-            g = self._grads(xl)
+            g = [self._grad(x, ci) for ci, x in enumerate(xl)]
             for bi in range(nb):
-                nu[bi] = nu[bi] + mu * (fwd[bi] - targets[bi])
-            for ci in range(len(self.comps)):
-                ll[ci] = ll[ci] + mu * (g[ci] - wl[ci])
+                nu[bi] += mu * (fwd[bi] - targets[bi])
+            for ci, w in enumerate(wl):
+                ll[ci] += np.multiply(mu, np.subtract(g[ci], w, out=w), out=w)
 
             obj = sum(c.weight * float(np.abs(gc).sum())
                       for c, gc in zip(self.comps, g))
@@ -366,6 +386,7 @@ class _Engine:
 
             diff = math.sqrt(sum(float(np.sum((a - b) ** 2))
                                  for a, b in zip(xl, x_old)))
+            x_old = None    # not held through the next warm start
             change = diff / max(x_prev_norm, 1.0e-12)
             feasible = all(
                 res_abs[bi] <= max(cfg.rel_tol * self.znorm[bi], self.eps)
@@ -384,30 +405,31 @@ class _Engine:
             residual_history=np.asarray(res_hist),
         )
 
-    def _cg(self, x0, rhs, r0, mu):
-        """Conjugate gradients for H x = rhs at penalty mu from x0, whose
-        residual rhs - H x0 the caller passes as r0 (it is consumed)."""
+    def _cg(self, x0, r0, target, mu):
+        """Conjugate gradients for H x = rhs at penalty mu from x0 until the
+        residual norm is at most `target`; r0 = rhs - H x0 is updated in place."""
         xl = [x.copy() for x in x0]
         rl = r0
         pl = [r.copy() for r in rl]
         rs = self._dot(rl, rl)
-        target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
-            hp = self._normal(self._grads(pl), self._forwards(pl), mu)
+            hp = self._normal(pl, mu)
             denom = self._dot(pl, hp)
             if denom <= 0.0:
                 break
             alpha = rs / denom
-            for ci in range(len(xl)):
-                xl[ci] += alpha * pl[ci]
-                rl[ci] -= alpha * hp[ci]
+            for ci, p in enumerate(pl):
+                xl[ci] += alpha * p
+                rl[ci] -= np.multiply(alpha, hp[ci], out=hp[ci])
+            hp = None    # not held while the next _normal builds its successor
             rs_new = self._dot(rl, rl)
             ratio = rs_new / rs
             rs = rs_new
-            for ci in range(len(pl)):
-                pl[ci] = rl[ci] + ratio * pl[ci]
+            for r, p in zip(rl, pl):
+                p *= ratio
+                p += r
         return xl
 
 
@@ -530,8 +552,7 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     masks = build_region_masks(dx, 0.0, width, height)
     sigma = _resolve_sigma(cfg, masks)
     s1 = _pair_average_matrix(width, height)
-    hr_shift = build_shift(2.0 * dx, 0.0, 2 * width, height)
-    s2 = (s1 @ hr_shift.matrix).tocsr()
+    s2 = (s1 @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
     comps = [
         _Comp((height, 2 * width), None, 1.0),
         _Comp((height, width), masks.disjoint[0], sigma / 2.0),

@@ -1,6 +1,7 @@
 """TV pieces, the augmented-Lagrangian engine and the reconstruction APIs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
 from mvlci.sensing import SensingSpec, _adjoint_flat, _measure_flat, measure, select_rows
 from mvlci.solver import (
+    PENALTY,
     SolverConfig,
     _Block,
     _Comp,
@@ -71,6 +73,35 @@ def test_tv_shrink_closed_form():
     v = np.random.default_rng(2).standard_normal(100)
     out = tv_shrink(v, 0.25)
     assert np.allclose(out, np.sign(v) * np.maximum(np.abs(v) - 0.25, 0.0))
+
+
+def signed_zeros(rng, shape):
+    """Normal values with about a fifth set to -0.0, a tenth to +0.0 and a
+    constant run of -0.0, so sign-of-zero slips show in the bytes."""
+    v = rng.standard_normal(shape)
+    u = rng.uniform(size=shape)
+    v[u < 0.2] = -0.0
+    v[(u >= 0.2) & (u < 0.3)] = 0.0
+    v.reshape(-1)[: v.size // 8] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
+def test_tv_shrink_is_bytewise_the_closed_form(threshold):
+    """tv_shrink matches sign(v) * max(|v| - t, 0) byte for byte (array_equal
+    would count -0.0 as 0.0), into a new array, into `out` and in place."""
+    rng = np.random.default_rng(3)
+    v = signed_zeros(rng, (2, 9, 7))
+    v[0, 0, :4] = [threshold, -threshold, np.inf, -np.inf]
+    want = (np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)).tobytes()
+    before = v.tobytes()
+    assert tv_shrink(v, threshold).tobytes() == want
+    assert v.tobytes() == before
+    out = np.full_like(v, np.nan)
+    assert tv_shrink(v, threshold, out=out) is out
+    assert out.tobytes() == want
+    assert tv_shrink(v, threshold, out=v) is v
+    assert v.tobytes() == want
 
 
 def test_epsilon_for_noise_closed_form():
@@ -208,6 +239,99 @@ def test_fidelity_gradient_passes_finite_difference_check():
     assert worst < 1e-5
 
 
+class _Built(Exception):
+    pass
+
+
+def built_engine(monkeypatch, solve):
+    """The _Engine that a reconstruct_* call builds, taken before it runs."""
+    engines = []
+
+    def capture(self):
+        engines.append(self)
+        raise _Built
+
+    with monkeypatch.context() as m:
+        m.setattr(_Engine, "run", capture)
+        with pytest.raises(_Built):
+            solve()
+    return engines[0]
+
+
+def float_edge_mask(comp):
+    """E as a float64 0/1 array for every component, full support included:
+    the plain form that the engine's bool masks (None for full support)
+    must reproduce bit for bit."""
+    e = np.ones((2,) + comp.shape)
+    e[0][:, -1] = 0.0
+    e[1][-1, :] = 0.0
+    if comp.mask is not None:
+        m = comp.mask.astype(np.float64)
+        e[0][:, :-1] *= m[:, :-1] * m[:, 1:]
+        e[1][:-1, :] *= m[:-1, :] * m[1:, :]
+    return e
+
+
+def assembled_normal(engine, xl, mu):
+    """H x assembled from whole lists, as _normal(_grads(x), _forwards(x),
+    mu) did: every masked gradient and every block's forward product first,
+    then mu D^T g, then each block's adjoint through a CSR copy of each
+    transpose.  Returns H x, the gradients and the forwards."""
+    gl = [float_edge_mask(c) * tv_grad(x) for c, x in zip(engine.comps, xl)]
+    fl = []
+    for b in engine.blocks:
+        img = None
+        for ci, op in b.terms:
+            v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
+            img = v.copy() if img is None else img + v
+        fl.append(_measure_flat(img, engine.spec) / engine.scale)
+    out = [mu * tv_grad_adjoint(g) for g in gl]
+    for b, f in zip(engine.blocks, fl):
+        g = _adjoint_flat(f, engine.spec) / engine.scale
+        for ci, op in b.terms:
+            v = g if op is None else op.T.tocsr() @ g
+            out[ci] += mu * v.reshape(engine.comps[ci].shape)
+    for c, x in zip(engine.comps, out):
+        if c.mask is not None:
+            x *= c.mask
+    return out, gl, fl
+
+
+def normal_case(mode, dx, dy):
+    """A reconstruct_* call on a 16x16 problem, for built_engine; single
+    mode stacks two vectors."""
+    spec = make_spec(256, 0.5, 11, pixel_count=256)
+    z = np.zeros(spec.count)
+    if mode == "single":
+        return lambda: reconstruct_single(np.stack([z, z]), spec, 16, 16)
+    if mode == "superres":
+        return lambda: reconstruct_superres(z, z, spec, 16, 16, dx)
+    masks = build_region_masks(dx, dy, 16, 16)
+    shift = build_shift(dx, dy, 16, 16)
+    return lambda: reconstruct_joint(z, z, spec, 16, 16, shift, masks,
+                                     SolverConfig(sigma=1.0))
+
+
+@pytest.mark.parametrize("mode,dx,dy", [
+    ("single", 0.0, 0.0), ("joint", 3.5, 0.0), ("joint", -2.5, -1.25),
+    ("joint", 3.0, -2.0), ("superres", 3.5, 0.0), ("superres", -2.5, 0.0),
+])
+def test_streamed_normal_is_bytewise_the_assembled_one(monkeypatch, mode, dx, dy):
+    """_normal, fresh and from carried products, gives the bytes of the
+    assembled operator; _grad and _forwards give the assembled products."""
+    engine = built_engine(monkeypatch, normal_case(mode, dx, dy))
+    rng = np.random.default_rng(4)
+    for mu in (PENALTY, 3.0 * PENALTY):
+        xl = [signed_zeros(rng, c.shape) for c in engine.comps]
+        want, gl, fl = assembled_normal(engine, xl, mu)
+        g = [engine._grad(x, ci) for ci, x in enumerate(xl)]
+        fwd = engine._forwards(xl)
+        assert [a.tobytes() for a in g] == [a.tobytes() for a in gl]
+        assert [a.tobytes() for a in fwd] == [a.tobytes() for a in fl]
+        for got in (engine._normal(xl, mu), engine._normal(xl, mu, g, fwd)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_edge_mask_excludes_support_boundary():
     mask = np.zeros((4, 6), dtype=bool)
     mask[:, :3] = True
@@ -217,6 +341,36 @@ def test_edge_mask_excludes_support_boundary():
     assert np.all(e[0][:, :2] == 1.0)
     # the replicate boundary column never contributes
     assert np.all(e[0][:, -1] == 0.0)
+    assert e.dtype == bool
+    assert _Comp((4, 6), None, 1.0).edge_mask() is None
+
+
+@pytest.mark.parametrize("mode", ["joint", "superres"])
+def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
+    """A two-iteration 64x64 solve allocates at most 17 times the bytes of
+    its unknowns at its peak (tracemalloc), inputs excluded."""
+    size = 64
+    masks = build_region_masks(3.5, 0.0, size, size)
+    shift = build_shift(3.5, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(4096, 0.25, 42, pixel_count=size * size)
+    z1, z2 = measure(v1, spec), measure(v2, spec)
+    cfg = SolverConfig(sigma=1.0, max_iters=2)
+    if mode == "joint":
+        unknowns = 3 * size * size
+        solve = lambda: reconstruct_joint(z1, z2, spec, size, size, shift, masks, cfg)
+    else:
+        unknowns = 4 * size * size     # the double-width image and two strips
+        solve = lambda: reconstruct_superres(z1, z2, spec, size, size, 3.5, cfg)
+    solve()     # first-call allocations (lazy imports, caches) are not the solve's
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 8 * unknowns, f"{peak / (8 * unknowns):.1f}x the unknowns"
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ so the digest of another checkout is
 
 Covered at full size (the default): single/joint/superres at 64x64 with
 SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
-seven-vector stacked single solve with epsilon > 0, fig3/fig4 at noise 0
-and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
+seven-vector stacked single solve with epsilon > 0, two 32x32 joint
+solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2), fig3/fig4
+at noise 0 and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
 `--sensor 1 --verbose`, `--sensor all`, joint and superres), the rows
 select_rows picks at (2**18, 0.25, 7), (65536, 1.0, -1) and
 (4096, 0.125, 2**64 + 3), and the CSR arrays of six sparse operators:
@@ -115,6 +116,21 @@ def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
                 reconstruct_superres(z1, z2, spec, size, size, DX, cfg))
 
 
+def _shifted_joints(h) -> None:
+    """Joint solves whose shift moves rows as well as columns, one
+    fractional and one integer, so the transposed shift carries dy != 0."""
+    size = 32
+    spec = _spec(size, 0.25, seed=8)
+    v1 = make_test_scene("blocks", size, size, 11).base
+    for dx, dy in ((-2.5, -1.25), (3.0, -2.0)):
+        masks = build_region_masks(dx, dy, size, size)
+        shift = build_shift(dx, dy, size, size)
+        v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.4, 0.0)
+        _put_result(h, f"joint.{dx}.{dy}", reconstruct_joint(
+            measure(v1, spec), measure(v2, spec), spec, size, size, shift, masks,
+            SolverConfig(sigma=1.0, max_iters=20)))
+
+
 def _stacked(h, size: int, max_iters: int) -> None:
     """Seven noisy vectors of one view in one stacked solve, epsilon > 0."""
     v = make_test_scene("gradient-bars", size, size, 3).base
@@ -212,6 +228,7 @@ def digest(reduced: bool = False) -> str:
     _solves(h, 64, SolverConfig(sigma=1.0, max_iters=60), "64.max60")
     _solves(h, 256, SolverConfig(sigma=1.0), "256")
     _stacked(h, 64, 120)
+    _shifted_joints(h)
     _studies(h)
     _cli(h, 80)
     _rows(h)

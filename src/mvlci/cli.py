@@ -139,7 +139,7 @@ def cmd_reconstruct(args) -> int:
             raise _UsageError(f"{flag} must be finite, got {value}")
     ms = read_mvm(args.meas)
     base = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                        sigma=_parse_sigma(args.sigma), epsilon=args.epsilon)
+                        sigma=args.sigma, epsilon=args.epsilon)
     # the noise ball is sized from sensor 1, or from the one sensor solved
     cfg = config_for_noise(base, ms.noise_sigma, ms.values[0])
     written = {}
@@ -195,7 +195,7 @@ def cmd_reconstruct(args) -> int:
         write_pgm(outdir / f"{name}.pgm", clamp01(img), maxval=65535)
     entries = _manifest_base("reconstruct", {
         "meas": args.meas, "mode": args.mode, "sensor": args.sensor,
-        "dx": repr(args.dx), "dy": repr(args.dy), "sigma": args.sigma,
+        "dx": repr(args.dx), "dy": repr(args.dy), "sigma": repr(args.sigma),
         "tol": repr(args.tol), "max_iters": args.max_iters,
         "epsilon": repr(cfg.epsilon), "out": outdir,
         "iterations": res.iterations, "converged": int(res.converged),
@@ -206,15 +206,6 @@ def cmd_reconstruct(args) -> int:
     })
     write_manifest(outdir / "manifest.txt", entries)
     return 0
-
-
-def _parse_sigma(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise _UsageError(f"--sigma must be 'auto' or a number, got {text!r}")
 
 
 def _parse_sensor(text: str) -> int:
@@ -288,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)
 
+    solver_defaults = SolverConfig()
     p = sub.add_parser("reconstruct", help="reconstruct from a measurement file")
     p.add_argument("--meas", required=True)
     p.add_argument("--mode", choices=("single", "joint", "superres"),
@@ -296,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based sensor index, or 'all' for a stacked solve")
     p.add_argument("--dx", type=float, default=3.5)
     p.add_argument("--dy", type=float, default=0.0)
-    p.add_argument("--sigma", default="auto")
-    p.add_argument("--tol", type=float, default=1.0e-4)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--sigma", type=float, default=solver_defaults.sigma)
+    p.add_argument("--tol", type=float, default=solver_defaults.rel_tol)
+    p.add_argument("--max-iters", type=int, default=solver_defaults.max_iters)
+    p.add_argument("--epsilon", type=float, default=solver_defaults.epsilon)
     p.add_argument("--verbose", action="store_true",
                    help="after the solve, print one line per iteration on stderr")
     p.add_argument("--out", required=True)

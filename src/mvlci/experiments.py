@@ -249,19 +249,14 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
     Metrics are computed on reconstructions clamped to [0, 1], and any
     comparison whose operands all exceed SATURATION_DB counts as satisfied
     (at that quality the differences are solver noise; this is what makes
-    the degenerate full-rate run pass trivially).  The default solver
-    config fixes the disjoint-term weight at sigma = 1: the area-ratio
-    auto weight is tuned for near-square regions, and at this aperture
-    size it over-penalizes the thin border strips enough to sink the
-    joint solve (override via cfg to experiment).
+    the degenerate full-rate run pass trivially).
     """
     if not (rate_high == 2.0 * rate_low or rate_high == rate_low == 1.0):
         raise ValueError(
             "rate_high must be twice rate_low (or both 1.0 for the "
             f"degenerate full-rate run); got {rate_low}/{rate_high}"
         )
-    if cfg is None:
-        cfg = SolverConfig(sigma=1.0)
+    cfg = cfg or SolverConfig()
     # views at scene resolution; the margin only covers the shift
     _, views, dx_eff, _ = _far_views(kind, width, height, dx, 1, scene_seed)
     masks = build_region_masks(dx_eff, 0.0, width, height)
@@ -363,18 +358,13 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
       superres-beats-upsampled  high-res reconstruction beats linear
                                 upsampling of each single-sensor
                                 reconstruction on the common region
-
-    The default solver config fixes sigma = 1 for the same reason as in
-    run_measurement_increase: the auto area-ratio weight overweights the
-    thin border strips at this aperture size.
     """
     if float(dx) == int(dx):
         raise ValueError(
             "super-resolution needs a fractional horizontal offset; "
             f"dx={dx} gives the second sensor no new sample phase"
         )
-    if cfg is None:
-        cfg = SolverConfig(sigma=1.0)
+    cfg = cfg or SolverConfig()
     scene, views, dx_eff, anchor = _far_views(kind, width, height, dx, 2,
                                               scene_seed)
 

@@ -23,6 +23,7 @@ Support constraints (c zero off the common region, dk zero off sensor k's
 border strip) are enforced by projection inside the inner solve, so they
 hold bitwise at the output.  With epsilon > 0 the equality constraints
 relax to ||A x - z|| <= epsilon (set it from noise via epsilon_for_noise).
+The disjoint-region weight sigma defaults to 1.
 
 Across an iteration the engine keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
@@ -70,7 +71,7 @@ CG_TOL = 1.0e-6
 class SolverConfig:
     max_iters: int = 500
     rel_tol: float = 1.0e-4
-    sigma: float | str = "auto"       # weight of the disjoint-region TV terms
+    sigma: float = 1.0                # weight of the disjoint-region TV terms
     epsilon: float = 0.0              # measurement fidelity ball (0 = equality)
 
     def __post_init__(self):
@@ -83,11 +84,9 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
-        if isinstance(self.sigma, str):
-            if self.sigma != "auto":
-                raise ValueError("sigma must be 'auto' or a positive number")
-        elif not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be 'auto' or a positive number")
+        if not (isinstance(self.sigma, numbers.Real)
+                and math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be a positive number")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
 
@@ -102,7 +101,6 @@ class ReconstructionResult:
     view2: np.ndarray | None = None
     iterations: int = 0
     converged: bool = False
-    sigma: float | None = None
     objective_history: np.ndarray | None = None    # (iterations,)
     residual_history: np.ndarray | None = None     # (iterations, blocks), relative
 
@@ -295,7 +293,7 @@ class _Engine:
 
     def run(self):
         """Solve; returns the component images and a result carrying every
-        field but the mode-specific images and sigma."""
+        field but the mode-specific images."""
         cfg = self.cfg
         nb = len(self.blocks)
         mu = PENALTY    # one penalty on both the TV and the data splits
@@ -437,16 +435,6 @@ class _Engine:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _resolve_sigma(cfg: SolverConfig, masks) -> float:
-    if cfg.sigma != "auto":
-        return float(cfg.sigma)
-    nc = int(masks.common.sum())
-    nd = int(masks.disjoint[0].sum()) + int(masks.disjoint[1].sum())
-    if nd == 0:
-        return 1.0
-    return 2.0 * nc / nd
-
-
 def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
     """The measurement vectors of one solve as float64, each checked to
     hold one value per selected row."""
@@ -497,11 +485,10 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
         raise ValueError("mask dimensions disagree with the image size")
     if (shift.dx, shift.dy) != (masks.dx, masks.dy):
         raise ValueError("shift and masks were built for different offsets")
-    sigma = _resolve_sigma(cfg, masks)
     comps = [
         _Comp((height, width), masks.common, 1.0),
-        _Comp((height, width), masks.disjoint[0], sigma / 2.0),
-        _Comp((height, width), masks.disjoint[1], sigma / 2.0),
+        _Comp((height, width), masks.disjoint[0], float(cfg.sigma) / 2.0),
+        _Comp((height, width), masks.disjoint[1], float(cfg.sigma) / 2.0),
     ]
     # Sensor 2 sees the first view shifted: for integer dx the shift of
     # I_D1 falls outside the grid and the constraint reduces to the usual
@@ -513,7 +500,7 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
         _Block(z2, [(0, shift.matrix), (1, shift.matrix), (2, None)]),
     ]
     (common, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
-    res.common, res.disjoint1, res.disjoint2, res.sigma = common, d1, d2, sigma
+    res.common, res.disjoint1, res.disjoint2 = common, d1, d2
     res.view1 = common + d1
     res.view2 = apply_shift(shift, res.view1) + d2
     return res
@@ -550,20 +537,19 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
             f"dx={dx} gives the second sensor no new sample phase"
         )
     masks = build_region_masks(dx, 0.0, width, height)
-    sigma = _resolve_sigma(cfg, masks)
     s1 = _pair_average_matrix(width, height)
     s2 = (s1 @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
     comps = [
         _Comp((height, 2 * width), None, 1.0),
-        _Comp((height, width), masks.disjoint[0], sigma / 2.0),
-        _Comp((height, width), masks.disjoint[1], sigma / 2.0),
+        _Comp((height, width), masks.disjoint[0], float(cfg.sigma) / 2.0),
+        _Comp((height, width), masks.disjoint[1], float(cfg.sigma) / 2.0),
     ]
     blocks = [
         _Block(z1, [(0, s1), (1, None)]),
         _Block(z2, [(0, s2), (2, None)]),
     ]
     (hr, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
-    res.image, res.disjoint1, res.disjoint2, res.sigma = hr, d1, d2, sigma
+    res.image, res.disjoint1, res.disjoint2 = hr, d1, d2
     res.view1 = (s1 @ hr.ravel()).reshape(height, width) + d1
     res.view2 = (s2 @ hr.ravel()).reshape(height, width) + d2
     return res

@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from mvlci.cli import main
+from mvlci.cli import build_parser, main
 from mvlci.pgm import read_pgm, write_pgm
 from mvlci.sensing import MeasurementSet, SensingSpec, read_mvm, select_rows, write_mvm
-from mvlci.solver import epsilon_for_noise
+from mvlci.solver import SolverConfig, epsilon_for_noise
 
 
 def read_manifest(path):
@@ -290,6 +290,25 @@ def test_reconstruct_superres_doubles_width(offset_pair, tmp_path):
     assert hr.shape == (16, 32)
 
 
+@pytest.mark.parametrize("mode", ["joint", "superres"])
+def test_reconstruct_default_sigma_is_one(offset_pair, tmp_path, mode):
+    outs = []
+    for name, flags in (("default", []), ("one", ["--sigma", "1"])):
+        out = tmp_path / name
+        assert main(["reconstruct", "--meas", str(offset_pair / "meas.mvm"),
+                     "--mode", mode, "--dx", "3.5",
+                     "--out", str(out)] + flags) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.pgm"))})
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_reconstruct_defaults_are_the_solver_config_defaults():
+    args = build_parser().parse_args(["reconstruct", "--meas", "m", "--out", "o"])
+    cfg = SolverConfig()
+    assert (args.max_iters, args.tol, args.sigma, args.epsilon) == (
+        cfg.max_iters, cfg.rel_tol, cfg.sigma, cfg.epsilon)
+
+
 def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
     """add_noise scales each sensor's noise by its own mean |z|, so the
     fidelity ball of a one-sensor solve comes from that sensor's vector."""
@@ -312,7 +331,6 @@ def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
     ["--mode", "superres", "--dx", "3.0"],
     ["--sensor", "7"],
     ["--sensor", "abc"],
-    ["--sigma", "abc"],
 ])
 def test_reconstruct_usage_errors(colocated, tmp_path, flags):
     code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
@@ -320,10 +338,20 @@ def test_reconstruct_usage_errors(colocated, tmp_path, flags):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "auto"])
+def test_reconstruct_non_numeric_sigma_is_an_argparse_error(colocated, tmp_path, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
+              "--out", str(tmp_path / "x"), "--sigma", value])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"],
     ["--epsilon", "nan"],
     ["--sigma", "inf"],
+    ["--sigma", "0"],
+    ["--sigma", "-1"],
 ])
 def test_reconstruct_rejects_non_finite_settings(colocated, tmp_path, capsys, flags):
     code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),

@@ -18,7 +18,6 @@ from mvlci.solver import (
     _Comp,
     _Engine,
     _pair_average_matrix,
-    _resolve_sigma,
     epsilon_for_noise,
     estimate_norm_sq,
     reconstruct_joint,
@@ -401,19 +400,11 @@ def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
     {"max_iters": math.inf},
     {"max_iters": 3.0},
     {"max_iters": 2.5},
+    {"sigma": "auto"},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
-
-
-def test_resolve_sigma():
-    masks = build_region_masks(3.5, 0.0, 16, 16)
-    # common 12*16=192, disjoint 2*64: auto weight = 2*192/128
-    assert _resolve_sigma(SolverConfig(), masks) == 3.0
-    assert _resolve_sigma(SolverConfig(sigma=0.7), masks) == 0.7
-    flat = build_region_masks(0.0, 0.0, 16, 16)
-    assert _resolve_sigma(SolverConfig(), flat) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +515,6 @@ def test_joint_reconstruction_recovers_both_views():
     assert res.converged
     assert np.mean(np.abs(res.view1 - v1)) < 0.02
     assert np.mean(np.abs(res.view2 - v2)) < 0.02
-    assert res.sigma == 1.0
 
 
 def test_joint_components_have_bitwise_support():

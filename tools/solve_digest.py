@@ -2,22 +2,22 @@
 
 Two source trees that print the same digest give the same bits on every
 output covered: each field of each ReconstructionResult (arrays by dtype,
-shape and bytes; scalars and lists by repr; see _put_result for the fields
-derived from the histories), the fig3/fig4 reports, and
-the files `mvlci measure` and `mvlci reconstruct` write (manifest
-`wall_time_s` lines excluded) and what each reconstruct prints to stderr.  The package is imported from PYTHONPATH,
-so the digest of another checkout is
+shape and bytes; scalars by repr), the fig3/fig4 reports, and the files
+`mvlci measure` and `mvlci reconstruct` write (manifest `wall_time_s`
+lines excluded) and what each reconstruct prints to stderr.  The package
+is imported from PYTHONPATH, so the digest of another checkout is
 
     PYTHONPATH=<checkout>/src python tools/solve_digest.py
 
 Covered at full size (the default): single/joint/superres at 64x64 with
-SolverConfig(sigma=1) and with max_iters=60, the same three at 256x256, a
-seven-vector stacked single solve with epsilon > 0, two 32x32 joint
-solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2), fig3/fig4
-at noise 0 and 0.02, the CLI pipeline (3 views measured at noise 0.05, then
-`--sensor 1 --verbose`, `--sensor all`, joint and superres), the rows
-select_rows picks at (2**18, 0.25, 7), (65536, 1.0, -1) and
-(4096, 0.125, 2**64 + 3), and the CSR arrays of six sparse operators:
+the default SolverConfig and with max_iters=60, the same three at
+256x256, a seven-vector stacked single solve with epsilon > 0, two 32x32
+joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2),
+fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
+noise 0.05, then `--sensor 1 --verbose`, `--sensor all`, joint and
+superres, all at the default --sigma), the rows select_rows picks at
+(2**18, 0.25, 7), (65536, 1.0, -1) and (4096, 0.125, 2**64 + 3), and
+the CSR arrays of six sparse operators:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
 with dy != 0 and a negative fractional shift, and the 64x64 superres
@@ -68,22 +68,9 @@ def _put(h, label: str, value) -> None:
 
 
 def _put_result(h, label: str, res) -> None:
-    """Every field of `res`, hashed as the result type had them before its
-    `residuals` and `objective` fields were dropped: those two are derived
-    from the histories' last entries and spliced in before `sigma`, and
-    `residual_history` is reduced to its per-iteration maximum over blocks.
-    A digest from a tree with the old fields is then comparable."""
-    derived = {
-        "residuals": [float(r) for r in res.residual_history[-1]],
-        "objective": float(res.objective_history[-1]),
-        "residual_history": res.residual_history.max(axis=1),
-    }
-    names = [f.name for f in dataclasses.fields(res)]
-    at = names.index("sigma")
-    names[at:at] = ["residuals", "objective"]
-    for name in names:
-        value = derived[name] if name in derived else getattr(res, name)
-        _put(h, f"{label}.{name}", value)
+    """Every field of `res`, in declaration order."""
+    for f in dataclasses.fields(res):
+        _put(h, f"{label}.{f.name}", getattr(res, f.name))
 
 
 def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:
@@ -128,7 +115,7 @@ def _shifted_joints(h) -> None:
         v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.4, 0.0)
         _put_result(h, f"joint.{dx}.{dy}", reconstruct_joint(
             measure(v1, spec), measure(v2, spec), spec, size, size, shift, masks,
-            SolverConfig(sigma=1.0, max_iters=20)))
+            SolverConfig(max_iters=20)))
 
 
 def _stacked(h, size: int, max_iters: int) -> None:
@@ -220,13 +207,13 @@ def digest(reduced: bool = False) -> str:
     """The hex SHA-256 over every covered output (see the module docstring)."""
     h = hashlib.sha256()
     if reduced:
-        _solves(h, 16, SolverConfig(sigma=1.0, max_iters=20), "16")
+        _solves(h, 16, SolverConfig(max_iters=20), "16")
         _stacked(h, 16, 20)
         _cli(h, 10)
         return h.hexdigest()
-    _solves(h, 64, SolverConfig(sigma=1.0), "64")
-    _solves(h, 64, SolverConfig(sigma=1.0, max_iters=60), "64.max60")
-    _solves(h, 256, SolverConfig(sigma=1.0), "256")
+    _solves(h, 64, SolverConfig(), "64")
+    _solves(h, 64, SolverConfig(max_iters=60), "64.max60")
+    _solves(h, 256, SolverConfig(), "256")
     _stacked(h, 64, 120)
     _shifted_joints(h)
     _studies(h)

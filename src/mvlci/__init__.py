@@ -42,7 +42,6 @@ from .solver import (
     ReconstructionResult,
     SolverConfig,
     SolverError,
-    config_for_noise,
     epsilon_for_noise,
     reconstruct_joint,
     reconstruct_single,
@@ -75,7 +74,6 @@ __all__ = [
     "build_region_masks",
     "build_shift",
     "clamp01",
-    "config_for_noise",
     "epsilon_for_noise",
     "fwht",
     "make_test_scene",

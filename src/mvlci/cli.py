@@ -28,7 +28,7 @@ from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, read_pgm, write_pgm
 from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view, SCENE_KINDS
 from .sensing import acquire, read_mvm, write_mvm
-from .solver import SolverConfig, config_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
+from .solver import SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
 
 
 class _UsageError(ValueError):
@@ -138,10 +138,8 @@ def cmd_reconstruct(args) -> int:
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value}")
     ms = read_mvm(args.meas)
-    base = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                        sigma=args.sigma, epsilon=args.epsilon)
-    # the noise ball is sized from sensor 1, or from the one sensor solved
-    cfg = config_for_noise(base, ms.noise_sigma, ms.values[0])
+    cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
+                       sigma=args.sigma, noise_sigma=ms.noise_sigma)
     written = {}
 
     if args.mode == "single":
@@ -154,7 +152,6 @@ def cmd_reconstruct(args) -> int:
             if not 1 <= idx <= ms.sensor_count:
                 raise _UsageError(f"sensor {idx} not in measurement file")
             z = ms.values[idx - 1]
-            cfg = config_for_noise(base, ms.noise_sigma, z)
         res = reconstruct_single(z, ms.spec, ms.width, ms.height, cfg)
         written["recon"] = res.image
     elif args.mode == "joint":
@@ -170,11 +167,10 @@ def cmd_reconstruct(args) -> int:
     elif args.mode == "superres":
         if ms.sensor_count < 2:
             raise _UsageError("superres mode needs a two-sensor measurement file")
-        if float(args.dx) == int(args.dx):
-            raise _UsageError(
-                f"superres needs a fractional --dx (got {args.dx}); an integer "
-                "offset gives the second sensor no new sample phase"
-            )
+        try:
+            check_fractional_dx(args.dx)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         res = reconstruct_superres(ms.values[0], ms.values[1], ms.spec,
                                    ms.width, ms.height, args.dx, cfg)
         written = {"superres": res.image, "disjoint1": res.disjoint1,
@@ -197,7 +193,7 @@ def cmd_reconstruct(args) -> int:
         "meas": args.meas, "mode": args.mode, "sensor": args.sensor,
         "dx": repr(args.dx), "dy": repr(args.dy), "sigma": repr(args.sigma),
         "tol": repr(args.tol), "max_iters": args.max_iters,
-        "epsilon": repr(cfg.epsilon), "out": outdir,
+        "epsilon": ",".join(repr(e) for e in res.epsilon), "out": outdir,
         "iterations": res.iterations, "converged": int(res.converged),
         "objective": f"{res.objective_history[-1]:.6e}",
         "residuals": ",".join(f"{r:.6e}" for r in res.residual_history[-1]),
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=solver_defaults.sigma)
     p.add_argument("--tol", type=float, default=solver_defaults.rel_tol)
     p.add_argument("--max-iters", type=int, default=solver_defaults.max_iters)
-    p.add_argument("--epsilon", type=float, default=solver_defaults.epsilon)
     p.add_argument("--verbose", action="store_true",
                    help="after the solve, print one line per iteration on stderr")
     p.add_argument("--out", required=True)

@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, write_pgm
 from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view
 from .sensing import acquire
-from .solver import SolverConfig, config_for_noise, reconstruct_joint, reconstruct_single, reconstruct_superres
+from .solver import SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
 
 CSV_HEADER = ["experiment", "case", "mode", "sensors", "rate",
               "psnr_db", "ssim", "iterations", "wall_time_s"]
@@ -256,7 +256,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
             "rate_high must be twice rate_low (or both 1.0 for the "
             f"degenerate full-rate run); got {rate_low}/{rate_high}"
         )
-    cfg = cfg or SolverConfig()
+    cfg = replace(cfg or SolverConfig(), noise_sigma=noise_sigma)
     # views at scene resolution; the margin only covers the shift
     _, views, dx_eff, _ = _far_views(kind, width, height, dx, 1, scene_seed)
     masks = build_region_masks(dx_eff, 0.0, width, height)
@@ -279,8 +279,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
     for rate, ms, tag in ((rate_low, low, "low"), (rate_high, high, "high")):
         for k, z in enumerate(ms.values, start=1):
             t0 = time.perf_counter()
-            res = reconstruct_single(z, ms.spec, width, height,
-                                     config_for_noise(cfg, noise_sigma, z))
+            res = reconstruct_single(z, ms.spec, width, height, cfg)
             dt = time.perf_counter() - t0
             quality, similarity = _metrics(views[k - 1], res.image)
             single[(tag, k)] = quality
@@ -291,8 +290,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
             report.images[f"single_{tag}_sensor{k}"] = res.image
 
     t0 = time.perf_counter()
-    joint = reconstruct_joint(*low.values, low.spec, width, height, shift, masks,
-                              config_for_noise(cfg, noise_sigma, low.values[0]))
+    joint = reconstruct_joint(*low.values, low.spec, width, height, shift, masks, cfg)
     dt = time.perf_counter() - t0
     jq1, js1 = _metrics(views[0], joint.view1)
     jq2, js2 = _metrics(views[1], joint.view2)
@@ -359,12 +357,8 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
                                 upsampling of each single-sensor
                                 reconstruction on the common region
     """
-    if float(dx) == int(dx):
-        raise ValueError(
-            "super-resolution needs a fractional horizontal offset; "
-            f"dx={dx} gives the second sensor no new sample phase"
-        )
-    cfg = cfg or SolverConfig()
+    check_fractional_dx(dx)
+    cfg = replace(cfg or SolverConfig(), noise_sigma=noise_sigma)
     scene, views, dx_eff, anchor = _far_views(kind, width, height, dx, 2,
                                               scene_seed)
 
@@ -395,8 +389,7 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
     upsampled = {}
     for k, z in enumerate(ms.values, start=1):
         t0 = time.perf_counter()
-        res = reconstruct_single(z, ms.spec, width, height,
-                                 config_for_noise(cfg, noise_sigma, z))
+        res = reconstruct_single(z, ms.spec, width, height, cfg)
         dt = time.perf_counter() - t0
         up = upsample2x_horizontal(res.image)
         quality, similarity = _metrics(truth_hr[k], up, common_hr[k])
@@ -409,8 +402,7 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
         report.images[f"upsampled_single_sensor{k}"] = up
 
     t0 = time.perf_counter()
-    sup = reconstruct_superres(*ms.values, ms.spec, width, height, dx_eff,
-                               config_for_noise(cfg, noise_sigma, ms.values[0]))
+    sup = reconstruct_superres(*ms.values, ms.spec, width, height, dx_eff, cfg)
     dt = time.perf_counter() - t0
     sup_psnr, sup_ssim = _metrics(truth_hr[1], sup.image, common_hr[1])
     report.cases.append(CaseResult(

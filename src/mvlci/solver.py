@@ -21,9 +21,10 @@ second sensor actually sees the first view's border column.
 
 Support constraints (c zero off the common region, dk zero off sensor k's
 border strip) are enforced by projection inside the inner solve, so they
-hold bitwise at the output.  With epsilon > 0 the equality constraints
-relax to ||A x - z|| <= epsilon (set it from noise via epsilon_for_noise).
-The disjoint-region weight sigma defaults to 1.
+hold bitwise at the output.  With noise_sigma > 0 each sensor's equality
+constraint relaxes to ||A x - z_k|| <= epsilon_k, its ball sized from its
+own vector by epsilon_for_noise.  The disjoint-region weight sigma
+defaults to 1.
 
 Across an iteration the engine keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -72,23 +73,20 @@ class SolverConfig:
     max_iters: int = 500
     rel_tol: float = 1.0e-4
     sigma: float = 1.0                # weight of the disjoint-region TV terms
-    epsilon: float = 0.0              # measurement fidelity ball (0 = equality)
+    noise_sigma: float = 0.0          # relative noise level (0 = equality fit)
 
     def __post_init__(self):
-        for name in ("rel_tol", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if not isinstance(self.max_iters, numbers.Integral):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if not (isinstance(self.sigma, numbers.Real)
-                and math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be a positive number")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        for name, zero_ok in (("rel_tol", False), ("sigma", False),
+                              ("noise_sigma", True)):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)
+                    and (v > 0.0 or (zero_ok and v == 0.0))):
+                raise ValueError(f"{name} must be a finite number "
+                                 + (">= 0" if zero_ok else "> 0"))
 
 
 @dataclass
@@ -103,6 +101,7 @@ class ReconstructionResult:
     converged: bool = False
     objective_history: np.ndarray | None = None    # (iterations,)
     residual_history: np.ndarray | None = None     # (iterations, blocks), relative
+    epsilon: list | None = None    # (blocks,) fidelity radius, units of z
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +142,16 @@ def epsilon_for_noise(noise_sigma: float, z: np.ndarray) -> float:
     return float(noise_sigma * math.sqrt(z.size) * np.mean(np.abs(z)))
 
 
-def config_for_noise(cfg: SolverConfig, noise_sigma: float, z: np.ndarray) -> SolverConfig:
-    """cfg with its fidelity ball sized for noise_sigma from z, unless cfg
-    already sets an epsilon or there is no noise."""
-    if noise_sigma > 0.0 and cfg.epsilon == 0.0:
-        return replace(cfg, epsilon=epsilon_for_noise(noise_sigma, z))
-    return cfg
+def check_fractional_dx(dx: float) -> None:
+    """Raise ValueError unless dx is a finite, non-integer horizontal offset,
+    the only kind that gives the second sensor a new sample phase."""
+    if not math.isfinite(dx):
+        raise ValueError(f"super-resolution needs a finite dx, got {dx}")
+    if float(dx) == int(dx):
+        raise ValueError(
+            "super-resolution needs a fractional horizontal offset; "
+            f"dx={dx} gives the second sensor no new sample phase"
+        )
 
 
 def estimate_norm_sq(spec: SensingSpec, iters: int = 30) -> float:
@@ -234,7 +237,11 @@ class _Engine:
         self.scale = math.sqrt(sum(norm_sq for _ in blocks) / spec.order)
         self.zbar = [np.asarray(b.z, dtype=np.float64) / self.scale for b in blocks]
         self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
-        self.eps = cfg.epsilon / self.scale
+        # each block's noise ball, sized from its own vector as add_noise
+        # scaled that sensor's noise
+        self.radii = [epsilon_for_noise(cfg.noise_sigma, b.z)
+                      if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
+        self.eps = [r / self.scale for r in self.radii]
         self.edges = [c.edge_mask() for c in comps]
         # each term with its operator's transpose, taken once: op.T is a CSC
         # view of the CSR op that sums in the order a CSR copy of it would
@@ -333,12 +340,12 @@ class _Engine:
             # fidelity targets: equality, or projection onto the eps ball
             targets = []
             for bi in range(nb):
-                if self.eps <= 0.0:
+                if self.eps[bi] <= 0.0:
                     targets.append(self.zbar[bi])
                 else:
                     r = fwd[bi] + nu[bi] / mu - self.zbar[bi]
                     rn = float(np.linalg.norm(r))
-                    shrink = min(1.0, self.eps / rn) if rn > 0.0 else 0.0
+                    shrink = min(1.0, self.eps[bi] / rn) if rn > 0.0 else 0.0
                     targets.append(self.zbar[bi] + shrink * r)
 
             # quadratic subproblem by projected conjugate gradients
@@ -387,7 +394,7 @@ class _Engine:
             x_old = None    # not held through the next warm start
             change = diff / max(x_prev_norm, 1.0e-12)
             feasible = all(
-                res_abs[bi] <= max(cfg.rel_tol * self.znorm[bi], self.eps)
+                res_abs[bi] <= max(cfg.rel_tol * self.znorm[bi], self.eps[bi])
                 for bi in range(nb))
             if change < cfg.rel_tol and feasible:
                 converged = True
@@ -401,6 +408,7 @@ class _Engine:
             converged=converged,
             objective_history=np.asarray(obj_hist),
             residual_history=np.asarray(res_hist),
+            epsilon=self.radii,
         )
 
     def _cg(self, x0, r0, target, mu):
@@ -529,13 +537,7 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     """
     cfg = cfg or SolverConfig()
     z1, z2 = _measurements(spec, width, height, z1, z2)
-    if not math.isfinite(dx):
-        raise ValueError(f"super-resolution needs a finite dx, got {dx}")
-    if float(dx) == int(dx):
-        raise ValueError(
-            "super-resolution needs a fractional horizontal offset; "
-            f"dx={dx} gives the second sensor no new sample phase"
-        )
+    check_fractional_dx(dx)
     masks = build_region_masks(dx, 0.0, width, height)
     s1 = _pair_average_matrix(width, height)
     s2 = (s1 @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()

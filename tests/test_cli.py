@@ -305,8 +305,10 @@ def test_reconstruct_default_sigma_is_one(offset_pair, tmp_path, mode):
 def test_reconstruct_defaults_are_the_solver_config_defaults():
     args = build_parser().parse_args(["reconstruct", "--meas", "m", "--out", "o"])
     cfg = SolverConfig()
-    assert (args.max_iters, args.tol, args.sigma, args.epsilon) == (
-        cfg.max_iters, cfg.rel_tol, cfg.sigma, cfg.epsilon)
+    assert (args.max_iters, args.tol, args.sigma) == (
+        cfg.max_iters, cfg.rel_tol, cfg.sigma)
+    # the noise level comes from the measurement file, never from a flag
+    assert not hasattr(args, "epsilon") and not hasattr(args, "noise_sigma")
 
 
 def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
@@ -325,6 +327,35 @@ def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
     epsilon = float(read_manifest(tmp_path / "rec" / "manifest.txt")["epsilon"])
     assert epsilon == epsilon_for_noise(0.05, values[1])
     assert epsilon != epsilon_for_noise(0.05, values[0])
+
+
+@pytest.fixture(scope="module")
+def noisy_pair(tmp_path_factory):
+    """Two offset views (dx = 3.5) measured together at noise 0.05."""
+    root = tmp_path_factory.mktemp("noisy")
+    assert main(["scene", "--kind", "checker-text", "--width", "46",
+                 "--height", "16", "--seed", "5", "--views",
+                 "--out", str(root / "scene.pgm")]) == 0
+    assert main(["measure", "--views", str(root / "view1.pgm"),
+                 str(root / "view2.pgm"), "--rate", "0.5", "--seed", "9",
+                 "--noise", "0.05", "--out", str(root / "m.mvm")]) == 0
+    return root / "m.mvm"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "joint"],
+    ["--mode", "superres"],
+    ["--sensor", "all"],
+])
+def test_noisy_multi_sensor_manifest_has_one_epsilon_per_sensor(noisy_pair, tmp_path, flags):
+    """Each sensor's noise ball comes from its own vector, and the manifest
+    lists them in sensor order."""
+    assert main(["reconstruct", "--meas", str(noisy_pair), "--max-iters", "5",
+                 "--out", str(tmp_path / "rec")] + flags) == 0
+    values = read_mvm(noisy_pair).values
+    text = read_manifest(tmp_path / "rec" / "manifest.txt")["epsilon"]
+    assert [float(e) for e in text.split(",")] == [
+        epsilon_for_noise(0.05, z) for z in values]
 
 
 @pytest.mark.parametrize("flags", [
@@ -348,7 +379,6 @@ def test_reconstruct_non_numeric_sigma_is_an_argparse_error(colocated, tmp_path,
 
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"],
-    ["--epsilon", "nan"],
     ["--sigma", "inf"],
     ["--sigma", "0"],
     ["--sigma", "-1"],

@@ -238,6 +238,12 @@ def test_superres_integer_offset_raises():
         run_superres(width=32, height=32, dx=3.0, rate=0.5)
 
 
+@pytest.mark.parametrize("dx", [math.inf, -math.inf, math.nan])
+def test_superres_non_finite_offset_raises(dx):
+    with pytest.raises(ValueError, match="finite dx"):
+        run_superres(width=32, height=32, dx=dx, rate=0.5)
+
+
 def test_superres_full_rate_quality_bound():
     # near-determined sanity bound: with every row measured the doubled
     # system still has to interpolate the missing phase, but should land

@@ -10,7 +10,14 @@ from scipy import sparse
 from mvlci import sensing, solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
-from mvlci.sensing import SensingSpec, _adjoint_flat, _measure_flat, measure, select_rows
+from mvlci.sensing import (
+    SensingSpec,
+    _adjoint_flat,
+    _measure_flat,
+    add_noise,
+    measure,
+    select_rows,
+)
 from mvlci.solver import (
     PENALTY,
     SolverConfig,
@@ -385,22 +392,25 @@ def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
     {"sigma": "AUTO"},
     {"sigma": "bogus"},
     {"sigma": -1.0},
-    {"epsilon": -0.5},
+    {"noise_sigma": -0.5},
     {"rel_tol": math.nan},
     {"rel_tol": math.inf},
-    {"epsilon": math.nan},
-    {"epsilon": math.inf},
+    {"noise_sigma": math.nan},
+    {"noise_sigma": math.inf},
     {"rel_tol": -math.inf},
     {"max_iters": math.nan},
     {"sigma": math.nan},
     {"sigma": math.inf},
-    {"epsilon": -math.inf},
+    {"noise_sigma": -math.inf},
     {"sigma": -math.inf},
     {"max_iters": "5"},
     {"max_iters": math.inf},
     {"max_iters": 3.0},
     {"max_iters": 2.5},
     {"sigma": "auto"},
+    {"rel_tol": "1e-4"},
+    {"noise_sigma": None},
+    {"noise_sigma": -0.1},
 ])
 def test_solver_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -445,13 +455,45 @@ def test_epsilon_ball_relaxes_the_fit():
     truth = make_test_scene("blocks", 16, 16, 9).base
     spec = make_spec(256, 0.5, 2, pixel_count=256)
     z = measure(truth, spec)
-    eps = 0.02 * np.linalg.norm(z)
-    cfg = SolverConfig(epsilon=float(eps))
+    cfg = SolverConfig(noise_sigma=0.02)
     res = reconstruct_single(z, spec, 16, 16, cfg)
+    eps = epsilon_for_noise(0.02, z)
+    assert res.epsilon == [eps]
     assert res.converged
     bound = max(cfg.rel_tol, eps / np.linalg.norm(z))
     for r in res.residual_history[-1]:
         assert r <= bound * (1.0 + 1e-9)
+
+
+def test_noise_free_solve_has_zero_radii():
+    spec = make_spec(256, 0.5, 2, pixel_count=256)
+    z = measure(make_test_scene("blocks", 16, 16, 9).base, spec)
+    res = reconstruct_single(np.stack([z, z]), spec, 16, 16,
+                             SolverConfig(max_iters=3))
+    assert res.epsilon == [0.0, 0.0]
+
+
+def test_noisy_joint_blocks_each_fit_their_own_ball():
+    """Each block's noise ball is sized from its own vector.  Sensor 1 here
+    sees a bright strip that sensor 2 does not, so a ball sized from z1
+    would be too wide for block 2."""
+    size, dx, noise = 16, 3.0, 0.02
+    spec = make_spec(256, 0.5, 2, pixel_count=size * size)
+    masks = build_region_masks(dx, 0.0, size, size)
+    shift = build_shift(dx, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 9).base + 2.0 * masks.disjoint[0]
+    v2 = apply_shift(shift, v1)
+    zs = [add_noise(measure(v, spec), noise, 30 + k) for k, v in enumerate((v1, v2))]
+    cfg = SolverConfig(noise_sigma=noise)
+    res = reconstruct_joint(*zs, spec, size, size, shift, masks, cfg)
+    radii = [epsilon_for_noise(noise, z) for z in zs]
+    assert res.epsilon == radii
+    assert radii[1] < radii[0]
+    assert res.converged
+    for z, eps, rel in zip(zs, radii, res.residual_history[-1]):
+        znorm = float(np.linalg.norm(z))
+        assert cfg.rel_tol * znorm < eps          # the ball decides feasibility
+        assert rel * znorm <= eps * (1.0 + 1e-9)
 
 
 def test_objective_settles_within_each_continuation_stage(monkeypatch):

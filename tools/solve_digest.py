@@ -1,4 +1,4 @@
-"""One SHA-256 over the outputs of a fixed set of solves, studies and CLI runs.
+"""SHA-256 digests over the outputs of a fixed set of solves, studies and CLI runs.
 
 Two source trees that print the same digest give the same bits on every
 output covered: each field of each ReconstructionResult (arrays by dtype,
@@ -9,9 +9,18 @@ is imported from PYTHONPATH, so the digest of another checkout is
 
     PYTHONPATH=<checkout>/src python tools/solve_digest.py
 
+It prints one `<section> <sha256>` line per section, then the total over
+all of them, so two trees that differ show which outputs moved.  The
+sections are each `_solves` size/config, the stacked solve, the shifted
+joints, fig3/fig4 at each noise level, the CLI's scene and measure
+files, each CLI reconstruct run, the rows, the operators, and
+`epsilon`: every result's per-block fidelity radii, kept apart so the
+other sections compare like for like with a tree whose results lack
+that field.
+
 Covered at full size (the default): single/joint/superres at 64x64 with
 the default SolverConfig and with max_iters=60, the same three at
-256x256, a seven-vector stacked single solve with epsilon > 0, two 32x32
+256x256, a seven-vector stacked single solve at noise 0.02, two 32x32
 joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2),
 fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
 noise 0.05, then `--sensor 1 --verbose`, `--sensor all`, joint and
@@ -48,13 +57,35 @@ from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, sel
 from mvlci.solver import (
     SolverConfig,
     _pair_average_matrix,
-    epsilon_for_noise,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
 )
 
 DX = 3.5
+
+
+class _Digest:
+    """A running SHA-256 over every output, and one per named section."""
+
+    def __init__(self):
+        self.total = hashlib.sha256()
+        self.sections = {}
+
+    def part(self, name: str) -> "_Part":
+        return _Part(self, name)
+
+
+class _Part:
+    """Feeds one section and the total with the same bytes."""
+
+    def __init__(self, digest: _Digest, name: str):
+        self.digest = digest
+        self.own = digest.sections.setdefault(name, hashlib.sha256())
+
+    def update(self, data: bytes) -> None:
+        self.digest.total.update(data)
+        self.own.update(data)
 
 
 def _put(h, label: str, value) -> None:
@@ -68,9 +99,11 @@ def _put(h, label: str, value) -> None:
 
 
 def _put_result(h, label: str, res) -> None:
-    """Every field of `res`, in declaration order."""
+    """Every field of `res`, in declaration order; `epsilon` goes to its
+    own section."""
     for f in dataclasses.fields(res):
-        _put(h, f"{label}.{f.name}", getattr(res, f.name))
+        _put(h.digest.part("epsilon") if f.name == "epsilon" else h,
+             f"{label}.{f.name}", getattr(res, f.name))
 
 
 def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:
@@ -119,17 +152,18 @@ def _shifted_joints(h) -> None:
 
 
 def _stacked(h, size: int, max_iters: int) -> None:
-    """Seven noisy vectors of one view in one stacked solve, epsilon > 0."""
+    """Seven noisy vectors of one view in one stacked solve at noise 0.02."""
     v = make_test_scene("gradient-bars", size, size, 3).base
     spec = _spec(size, 0.25, seed=5)
     z = np.stack([add_noise(measure(v, spec), 0.02, 100 + k) for k in range(7)])
-    cfg = SolverConfig(epsilon=epsilon_for_noise(0.02, z[0]), max_iters=max_iters)
+    cfg = SolverConfig(noise_sigma=0.02, max_iters=max_iters)
     _put_result(h, "stacked", reconstruct_single(z, spec, size, size, cfg))
 
 
-def _studies(h) -> None:
+def _studies(d: _Digest) -> None:
     for noise in (0.0, 0.02):
         for name, run in (("fig3", run_measurement_increase), ("fig4", run_superres)):
+            h = d.part(f"{name}.{noise}")
             report = run(noise_sigma=noise)
             for c in report.cases:
                 c.wall_time_s = 0.0
@@ -139,9 +173,11 @@ def _studies(h) -> None:
                 _put(h, f"{name}.{noise}.image.{key}", report.images[key])
 
 
-def _cli(h, max_iters: int) -> None:
+def _cli(d: _Digest, max_iters: int) -> None:
     """scene -> measure -> reconstruct on a 16x16 aperture; the stderr of
-    each reconstruct, then every file written, in name order."""
+    each reconstruct, then every file written, in name order.  A run's
+    stderr and output directory form section cli.<run>; the scene and
+    measure files form cli.acquire."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
@@ -164,14 +200,16 @@ def _cli(h, max_iters: int) -> None:
             with contextlib.redirect_stderr(log):
                 run("reconstruct", "--meas", root / "m.mvm", "--max-iters",
                     max_iters, "--out", root / name, *flags)
-            _put(h, f"cli.{name}.stderr", log.getvalue())
+            _put(d.part(f"cli.{name}"), f"cli.{name}.stderr", log.getvalue())
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            rel = path.relative_to(root)
+            h = d.part(f"cli.{rel.parts[0]}" if len(rel.parts) > 1 else "cli.acquire")
             data = path.read_bytes()
             if path.name.endswith("manifest") or path.name == "manifest.txt":
                 data = b"\n".join(line for line in data.split(b"\n")
                                   if not line.startswith(b"wall_time_s="))
                 data = data.replace(str(root).encode(), b"<root>")
-            _put(h, f"cli.{path.relative_to(root)}", data)
+            _put(h, f"cli.{rel}", data)
 
 
 def _rows(h) -> None:
@@ -203,28 +241,36 @@ def _operators(h) -> None:
             _put(h, f"{name}.{part}", getattr(mat, part))
 
 
+def sections(reduced: bool = False) -> list:
+    """[(section, hex SHA-256), ...] in the order first written, then
+    ("total", hex SHA-256 over every covered output in that order)."""
+    d = _Digest()
+    if reduced:
+        _solves(d.part("16"), 16, SolverConfig(max_iters=20), "16")
+        _stacked(d.part("stacked"), 16, 20)
+        _cli(d, 10)
+    else:
+        _solves(d.part("64"), 64, SolverConfig(), "64")
+        _solves(d.part("64.max60"), 64, SolverConfig(max_iters=60), "64.max60")
+        _solves(d.part("256"), 256, SolverConfig(), "256")
+        _stacked(d.part("stacked"), 64, 120)
+        _shifted_joints(d.part("shifted-joints"))
+        _studies(d)
+        _cli(d, 80)
+        _rows(d.part("rows"))
+        _operators(d.part("operators"))
+    return ([(name, h.hexdigest()) for name, h in d.sections.items()]
+            + [("total", d.total.hexdigest())])
+
+
 def digest(reduced: bool = False) -> str:
     """The hex SHA-256 over every covered output (see the module docstring)."""
-    h = hashlib.sha256()
-    if reduced:
-        _solves(h, 16, SolverConfig(max_iters=20), "16")
-        _stacked(h, 16, 20)
-        _cli(h, 10)
-        return h.hexdigest()
-    _solves(h, 64, SolverConfig(), "64")
-    _solves(h, 64, SolverConfig(max_iters=60), "64.max60")
-    _solves(h, 256, SolverConfig(), "256")
-    _stacked(h, 64, 120)
-    _shifted_joints(h)
-    _studies(h)
-    _cli(h, 80)
-    _rows(h)
-    _operators(h)
-    return h.hexdigest()
+    return sections(reduced)[-1][1]
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--reduced", action="store_true",
                         help="short 16x16 solves and CLI runs only")
-    print(digest(parser.parse_args().reduced))
+    for name, hexdigest in sections(parser.parse_args().reduced):
+        print(f"{name:16s} {hexdigest}")

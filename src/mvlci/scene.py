@@ -63,13 +63,15 @@ class CameraGeometry:
             raise ValueError("aperture dimensions must be positive")
         if len(self.sensor_offsets) < 1:
             raise ValueError("need at least one sensor")
+        if not all(math.isfinite(v) for offset in self.sensor_offsets for v in offset):
+            raise ValueError(f"sensor_offsets must be finite, got {self.sensor_offsets}")
         ox, oy = self.sensor_offsets[0]
         if ox != 0.0 or oy != 0.0:
             raise ValueError("sensor 1 must sit at offset (0, 0)")
-        if self.sensor_plane_distance <= 0.0:
-            raise ValueError("sensor plane distance must be positive")
-        if self.scene_distance <= 0.0:
-            raise ValueError("scene distance must be positive")
+        for name in ("sensor_plane_distance", "scene_distance"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
     @property
     def sensor_count(self) -> int:

@@ -26,6 +26,11 @@ constraint relaxes to ||A x - z_k|| <= epsilon_k, its ball sized from its
 own vector by epsilon_for_noise.  The disjoint-region weight sigma
 defaults to 1.
 
+The operator is normalized from its spectrum in closed form: for m rows
+(row 0 all-ones) over a full order-N image, A^T A has the nonzero
+eigenvalues N/4 (m - 2 times), N lam and N/(4 lam), where
+lam = (t + sqrt(t^2 - 1)) / 2 and t = 1 + m/4.
+
 Across an iteration the engine keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
 x.  The shrink, both multiplier updates, the right-hand side and the CG
@@ -154,34 +159,6 @@ def check_fractional_dx(dx: float) -> None:
         )
 
 
-def estimate_norm_sq(spec: SensingSpec, iters: int = 30) -> float:
-    """Deterministic power-iteration estimate of ||A||_2^2: lam_iters of
-    v_t = w_t / lam_t, w_t = A^T A v_{t-1}, lam_t = ||w_t||.
-
-    The step is a fixed map of v, so once v_t equals v_{t-1} or v_{t-2}
-    bit for bit, every later (v, lam) repeats with period 1 or 2 and
-    lam_iters is already known: lam_t when iters - t is a multiple of the
-    period, else lam_{t-1}.  Returning it there gives exactly the value of
-    all `iters` steps (most specs reach a fixed point within 4-7 steps;
-    some settle into a 2-cycle).  No tolerance is involved.
-    """
-    v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
-    lam = 1.0
-    v_back2 = None               # v_{t-2}; v and lam hold step t-1
-    for t in range(1, iters + 1):
-        w = _adjoint_flat(_measure_flat(v, spec), spec)
-        lam_t = float(np.linalg.norm(w))
-        if lam_t == 0.0:
-            return 1.0
-        v_t = w / lam_t
-        if np.array_equal(v_t, v):
-            return lam_t
-        if v_back2 is not None and np.array_equal(v_t, v_back2):
-            return lam_t if (iters - t) % 2 == 0 else lam
-        v_back2, v, lam = v, v_t, lam_t
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # shared engine
 # ---------------------------------------------------------------------------
@@ -224,17 +201,17 @@ class _Engine:
         self.blocks = blocks
         self.spec = spec
         self.cfg = cfg
-        # Normalize the stacked operator [A_1; A_2; ...] by the bulk of its
-        # normal-matrix spectrum (sum of norm^2 over blocks, divided by the
-        # order), not by the norm itself: each 0/1 aperture matrix has one
-        # huge mean-intensity eigenvalue ~ rows*order/4 on top of a flat bulk
-        # ~ rows/4, and scaling by the outlier would starve the data term
-        # relative to the TV penalty.  One shared scale keeps the stacked
-        # problem identical to the same rows presented as a single block.
-        # The total stays a sum over blocks: k * norm_sq can round
-        # differently from adding norm_sq k times.
-        norm_sq = estimate_norm_sq(spec)
-        self.scale = math.sqrt(sum(norm_sq for _ in blocks) / spec.order)
+        # With m rows, row 0 all-ones and pixel_count = order = N,
+        # A = (H_S + 1 1^T)/2 and H_S H_S^T = N I: A^T A has eigenvalues N/4
+        # (m - 2 times) and the mean-intensity pair N lam, N/(4 lam) of the
+        # module docstring: ||A||^2 = pixel_count * lam, exact at N pixels
+        # and close when padded.  [A_1; A_2; ...] is divided by the outlier
+        # over the order, sqrt(blocks * ||A||^2 / N), not by the norm, which
+        # would starve the data term relative to the TV penalty; one shared
+        # scale keeps stacked rows identical to the same rows as one block.
+        t = 1.0 + spec.count / 4.0
+        norm_sq = spec.pixel_count * (t + math.sqrt(t * t - 1.0)) / 2.0
+        self.scale = math.sqrt(len(blocks) * norm_sq / spec.order)
         self.zbar = [np.asarray(b.z, dtype=np.float64) / self.scale for b in blocks]
         self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
         # each block's noise ball, sized from its own vector as add_noise

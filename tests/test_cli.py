@@ -124,6 +124,10 @@ def test_scene_views_need_a_finite_offset(tmp_path, capsys, dx):
     (["--width", "40"], 2),                 # no 2x view window
     (["--width", "64", "--dx", "nan"], 2),  # non-finite offset
     (["--width", "64", "--z", "-5"], 1),    # CameraGeometry rejects it
+    (["--width", "64", "--f", "inf"], 1),   # would give two identical views
+    (["--width", "64", "--f", "nan"], 1),
+    (["--width", "64", "--z", "inf"], 1),
+    (["--width", "64", "--z", "nan"], 1),
 ])
 def test_rejected_scene_views_write_nothing(tmp_path, capsys, flags, code):
     out = tmp_path / "out" / "scene.pgm"

@@ -118,6 +118,20 @@ def test_parallax_sensor_index_validated():
 # view rendering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("sensor_plane_distance", {"f": float("inf")}),
+    ("sensor_plane_distance", {"f": float("nan")}),
+    ("scene_distance", {"z": float("inf")}),
+    ("scene_distance", {"z": float("nan")}),
+    ("sensor_offsets", {"dx": float("inf")}),
+    ("sensor_offsets", {"dx": float("nan")}),
+    ("sensor_offsets", {"dy": float("-inf")}),
+])
+def test_geometry_rejects_non_finite_placement(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        _two_sensor_geometry(64, 64, **{"dx": 3.5, **kwargs})
+
+
 def test_reference_view_at_scene_resolution_is_identity():
     scene = make_test_scene("blocks", 64, 64, 5)
     geo = CameraGeometry(aperture_width=64, aperture_height=64)

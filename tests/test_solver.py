@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from mvlci import sensing, solver
+from mvlci import solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
 from mvlci.sensing import (
@@ -26,7 +26,6 @@ from mvlci.solver import (
     _Engine,
     _pair_average_matrix,
     epsilon_for_noise,
-    estimate_norm_sq,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -115,19 +114,9 @@ def test_epsilon_for_noise_closed_form():
     assert abs(epsilon_for_noise(0.1, z) - 0.1 * 2.0 * 2.0) < 1e-15
 
 
-def test_estimate_norm_sq_matches_dense_operator_norm():
-    spec = make_spec(16, 0.5, 3, pixel_count=12)
-    h = np.array([[1.0]])
-    while h.shape[0] < 16:
-        h = np.block([[h, h], [h, -h]])
-    a = (h[spec.rows, :12] + 1.0) / 2.0
-    dense = np.linalg.norm(a, 2) ** 2
-    assert abs(estimate_norm_sq(spec) - dense) < 1e-9 * dense
-
-
 def power_iteration(spec, iters=30):
-    """The full-length power loop: estimate_norm_sq must match it bit for
-    bit at every iters."""
+    """Reference estimate of ||A||_2^2: `iters` steps of the power method on
+    A^T A from the flat image."""
     v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
     lam = 1.0
     for _ in range(iters):
@@ -139,72 +128,44 @@ def power_iteration(spec, iters=30):
     return lam
 
 
-# (order, rate, seed, pixel_count).  (4096, 0.125, 44) ends in a 2-cycle,
-# v_7 == v_5, so odd and even iters give different values; (4096, 0.5, 43,
-# 3072) tells lam_{t-1} from lam_{t-2} on its 2-cycle.
-NORM_SPECS = [
-    (order, rate, seed, pixels)
-    for order in (16, 64, 256, 1024)
-    for rate in (0.05, 0.25, 1.0)
-    for seed in (0, 44)
-    for pixels in (order // 2 + 1, order - 1, order)
-] + [
-    (4096, 0.125, 44, 4096), (4096, 0.5, 43, 3072), (4096, 0.25, 7, 4000),
-    (16384, 0.125, 42, 12000),
-]
+def dense_norm_sq(spec):
+    """||A||_2^2 of the dense 0/1 aperture matrix, H[i, j] = (-1)^popcount(i & j)."""
+    cols = np.arange(spec.pixel_count)
+    h = 1.0 - 2.0 * (np.bitwise_count(spec.rows[:, None] & cols) & 1)
+    return np.linalg.norm((h + 1.0) / 2.0, 2) ** 2
 
 
-@pytest.mark.parametrize("order,rate,seed,pixels", NORM_SPECS)
-def test_estimate_norm_sq_is_bit_identical_to_the_full_loop(order, rate, seed, pixels):
-    spec = make_spec(order, rate, seed, pixel_count=pixels)
-    for iters in range(0, 31):
-        assert estimate_norm_sq(spec, iters) == power_iteration(spec, iters), iters
+def engine_norm_sq(spec):
+    """The ||A||^2 a one-block engine is scaled by: scale^2 * order."""
+    engine = _Engine([_Comp((1, spec.pixel_count), None, 1.0)],
+                     [_Block(np.zeros(spec.count), [(0, None)])], spec,
+                     SolverConfig())
+    return engine.scale ** 2 * spec.order
 
 
-@pytest.mark.parametrize("rate,seed", [(0.125, 42), (0.25, 43)])
-def test_estimate_norm_sq_at_65536_stops_early_and_exactly(monkeypatch, rate, seed):
-    """The benchmark's 256x256 specs: a dozen transforms, not sixty."""
-    spec = make_spec(65536, rate, seed, pixel_count=65536)
-    calls = []
-    fwht = sensing.fwht
-
-    def counting_fwht(x):
-        calls.append(1)
-        return fwht(x)
-
-    monkeypatch.setattr(sensing, "fwht", counting_fwht)
-    value = estimate_norm_sq(spec)
-    assert len(calls) <= 12
-    monkeypatch.undo()
-    for iters in (1, 2, 3, 5, 8, 30):
-        assert estimate_norm_sq(spec, iters) == power_iteration(spec, iters), iters
-    assert value == estimate_norm_sq(spec, 30)
+@pytest.mark.parametrize("order", [16, 64, 256, 1024])
+def test_closed_form_norm_is_the_dense_norm_on_a_full_image(order):
+    for rate in (1.0 / order, 0.05, 0.25, 1.0):
+        for seed in (0, 44):
+            spec = make_spec(order, rate, seed, pixel_count=order)
+            dense = dense_norm_sq(spec)
+            assert abs(engine_norm_sq(spec) - dense) <= 1e-12 * dense, (rate, seed)
 
 
-def test_joint_solve_is_bit_identical_with_the_full_power_loop(monkeypatch):
-    """The stop rule turns a last-ulp change in the operator scale into a
-    different stopping iteration, so a solve that crosses the penalty
-    doubling at iteration 50 must not move at all."""
-    size = 64
-    masks = build_region_masks(3.5, 0.0, size, size)
-    shift = build_shift(3.5, 0.0, size, size)
-    v1 = make_test_scene("blocks", size, size, 7).base
-    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
-    spec = make_spec(4096, 0.125, 42, pixel_count=size * size)
+@pytest.mark.parametrize("order,rate", [(4096, 0.125), (4096, 0.25),
+                                        (65536, 0.125), (65536, 0.25)])
+def test_closed_form_norm_is_the_power_iteration_at_bench_specs(order, rate):
+    spec = make_spec(order, rate, 42, pixel_count=order)
+    power = power_iteration(spec)
+    assert abs(engine_norm_sq(spec) - power) <= 1e-14 * power
 
-    def solve():
-        return reconstruct_joint(measure(v1, spec), measure(v2, spec), spec,
-                                 size, size, shift, masks,
-                                 SolverConfig(sigma=1.0))
 
-    fast = solve()
-    monkeypatch.setattr(solver, "estimate_norm_sq", power_iteration)
-    ref = solve()
-    assert fast.iterations == ref.iterations > 50
-    assert fast.converged == ref.converged
-    for name in ("common", "disjoint1", "disjoint2", "view1", "view2",
-                 "objective_history", "residual_history"):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+def test_closed_form_norm_is_close_on_a_padded_image():
+    """60x60 pixels in order 4096: the closed form is exact only at
+    pixel_count = order, and stays within 0.1% here."""
+    spec = make_spec(4096, 0.125, 42, pixel_count=60 * 60)
+    dense = dense_norm_sq(spec)
+    assert abs(engine_norm_sq(spec) - dense) <= 1e-3 * dense
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ is imported from PYTHONPATH, so the digest of another checkout is
 It prints one `<section> <sha256>` line per section, then the total over
 all of them, so two trees that differ show which outputs moved.  The
 sections are each `_solves` size/config, the stacked solve, the shifted
-joints, fig3/fig4 at each noise level, the CLI's scene and measure
-files, each CLI reconstruct run, the rows, the operators, and
-`epsilon`: every result's per-block fidelity radii, kept apart so the
-other sections compare like for like with a tree whose results lack
-that field.
+joints, the padded solves, fig3/fig4 at each noise level, the CLI's
+scene and measure files, each CLI reconstruct run, the rows, the
+operators, and `epsilon`: every result's per-block fidelity radii, kept
+apart so the other sections compare like for like with a tree whose
+results lack that field.
 
 Covered at full size (the default): single/joint/superres at 64x64 with
 the default SolverConfig and with max_iters=60, the same three at
 256x256, a seven-vector stacked single solve at noise 0.02, two 32x32
 joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2),
+single and joint at 60x60, whose 3600 pixels are zero-padded to order
+4096 (the one case where the operator norm is approximate),
 fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
 noise 0.05, then `--sensor 1 --verbose`, `--sensor all`, joint and
 superres, all at the default --sigma), the rows select_rows picks at
@@ -112,8 +114,8 @@ def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:
                        seed=seed, pixel_count=size * size)
 
 
-def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
-    """Single, joint and superres on one blocks / checker-text input."""
+def _single_joint(h, size: int, cfg: SolverConfig, label: str) -> None:
+    """Single and joint on one blocks input."""
     masks = build_region_masks(DX, 0.0, size, size)
     shift = build_shift(DX, 0.0, size, size)
     v1 = make_test_scene("blocks", size, size, 7).base
@@ -125,6 +127,10 @@ def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
     _put_result(h, f"{label}.joint",
                 reconstruct_joint(z1, z2, spec, size, size, shift, masks, cfg))
 
+
+def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
+    """Single, joint and superres on one blocks / checker-text input."""
+    _single_joint(h, size, cfg, label)
     geo = CameraGeometry(aperture_width=size, aperture_height=size,
                          sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
                          sensor_plane_distance=1.0, scene_distance=1.0e7)
@@ -255,6 +261,7 @@ def sections(reduced: bool = False) -> list:
         _solves(d.part("256"), 256, SolverConfig(), "256")
         _stacked(d.part("stacked"), 64, 120)
         _shifted_joints(d.part("shifted-joints"))
+        _single_joint(d.part("padded"), 60, SolverConfig(), "padded")
         _studies(d)
         _cli(d, 80)
         _rows(d.part("rows"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from mvlci import solver
+from mvlci import sensing, solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
 from mvlci.sensing import (
@@ -152,12 +152,51 @@ def test_closed_form_norm_is_the_dense_norm_on_a_full_image(order):
             assert abs(engine_norm_sq(spec) - dense) <= 1e-12 * dense, (rate, seed)
 
 
-@pytest.mark.parametrize("order,rate", [(4096, 0.125), (4096, 0.25),
-                                        (65536, 0.125), (65536, 0.25)])
+@pytest.mark.parametrize("order,rate", [(4096, 0.125), (4096, 0.25)])
 def test_closed_form_norm_is_the_power_iteration_at_bench_specs(order, rate):
     spec = make_spec(order, rate, 42, pixel_count=order)
     power = power_iteration(spec)
     assert abs(engine_norm_sq(spec) - power) <= 1e-14 * power
+
+
+# (order, rate, seed, pixel_count) with the image filling the order, where
+# the closed form is exact; (4096, 0.125, 44) is a spec whose power loop
+# ends in a 2-cycle.
+NORM_SPECS = [
+    (order, rate, seed, order)
+    for order in (16, 64, 256, 1024)
+    for rate in (0.05, 0.25, 1.0)
+    for seed in (0, 44)
+] + [(4096, 0.125, 44, 4096)]
+
+
+@pytest.mark.parametrize("order,rate,seed,pixels", NORM_SPECS)
+def test_estimate_norm_sq_is_bit_identical_to_the_full_loop(order, rate, seed, pixels):
+    """The engine's norm estimate against all 30 steps of the power loop:
+    equal up to the last ulps the two roundings leave."""
+    spec = make_spec(order, rate, seed, pixel_count=pixels)
+    power = power_iteration(spec)
+    assert abs(engine_norm_sq(spec) - power) <= 4 * np.spacing(power)
+
+
+@pytest.mark.parametrize("rate,seed", [(0.125, 42), (0.25, 43)])
+def test_estimate_norm_sq_at_65536_stops_early_and_exactly(monkeypatch, rate, seed):
+    """The benchmark's 256x256 specs: the engine's scale takes no
+    transform at all, and matches the full power loop."""
+    spec = make_spec(65536, rate, seed, pixel_count=65536)
+    calls = []
+    fwht = sensing.fwht
+
+    def counting_fwht(x):
+        calls.append(1)
+        return fwht(x)
+
+    monkeypatch.setattr(sensing, "fwht", counting_fwht)
+    value = engine_norm_sq(spec)
+    assert calls == []
+    monkeypatch.undo()
+    power = power_iteration(spec)
+    assert abs(value - power) <= 4 * np.spacing(power)
 
 
 def test_closed_form_norm_is_close_on_a_padded_image():

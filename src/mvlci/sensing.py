@@ -10,10 +10,10 @@ and zero-padded to length N) is
 which we evaluate with an in-place fast Walsh-Hadamard transform instead
 of materializing H.  Because Sylvester H is symmetric, the adjoint is the
 same transform applied to the measurement vector scattered onto its rows.
-The transform runs its stages in ping-pong (Stockham) order between two
-buffers, and it must stay bit-identical to the natural-order butterfly:
-the solver's stop rule turns a last-ulp difference into a different
-stopping iteration.
+The transform packs each real pair into one complex128 after its first
+stage and runs the rest in ping-pong (Stockham) order on those pairs; it
+must stay bit-identical to the natural-order butterfly: the solver's stop
+rule turns a last-ulp difference into a different stopping iteration.
 
 Measurement sets are serialized in a small self-describing container
 ("MVM1"): a text header followed by little-endian binary payload, exact
@@ -33,33 +33,36 @@ from .rng import GAMMA, MASK64, normal_stream, u64_stream
 def fwht(x: np.ndarray) -> np.ndarray:
     """In-place fast Walsh-Hadamard transform in Sylvester (natural) order.
 
-    Length must be a power of two.  Applying the transform twice scales by
-    the length: fwht(fwht(x)) == len(x) * x.
-
-    Each radix-2 stage reads the even and odd elements of one buffer and
-    writes their sums to the first half of the other and their differences
-    to the second half (Stockham, or ping-pong, order).  That rotates the
-    index bits by one per stage, so after log2(n) stages the result is back
-    in natural order, and it is copied into x when log2(n) is odd.  Stage s
-    forms the same a + b and a - b over the same pairs (indices differing
-    in bit s) as the natural-order butterfly, so the result is bit-identical
-    to it; only the memory layout differs, which turns each stage into two
-    ufunc calls over long 1-D loops.  Keep it bit-identical: solver stop
-    decisions are sensitive to last-ulp changes in the transform.
+    x is a 1-D float64 array, possibly strided, of power-of-two length n;
+    fwht(fwht(x)) == n * x.  Stage 0 turns each pair (x[2k], x[2k+1]) into
+    (a + b, a - b), element k of a half-length complex128 buffer, so index
+    bit 0 lives in the real/imaginary lane.  The other stages run in
+    ping-pong (Stockham) order between that buffer and x viewed as
+    complex128: the sums of even and odd elements go to the first half,
+    their differences to the second.  Complex add and subtract act lane by
+    lane, so each stage forms the same a + b and a - b over the same pairs
+    as the natural-order butterfly, bit for bit, signed zeros included.
+    Keep it bit-identical: the solver's stop rule is sensitive to last-ulp
+    changes in the transform.
     """
-    n = x.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError("fwht length must be a power of two")
-    half = n // 2
-    src, dst = x, np.empty_like(x)
-    for _ in range(n.bit_length() - 1):
-        a = src[0::2]
-        b = src[1::2]
-        np.add(a, b, out=dst[:half])
-        np.subtract(a, b, out=dst[half:])
+    n = x.size
+    if x.dtype != np.float64 or x.ndim != 1 or n == 0 or n & (n - 1):
+        raise ValueError("fwht needs a 1-D float64 array of power-of-two length")
+    if n == 1:
+        return x
+    half, quarter = n // 2, n // 4
+    w = np.ascontiguousarray(x)  # x itself unless x is a strided view
+    buf = np.empty(half, dtype=np.complex128)
+    np.add(x[0::2], x[1::2], out=buf.real)
+    np.subtract(x[0::2], x[1::2], out=buf.imag)
+    src, dst = buf, w.view(np.complex128)
+    for _ in range(half.bit_length() - 1):
+        a, b = src[0::2], src[1::2]
+        np.add(a, b, out=dst[:quarter])
+        np.subtract(a, b, out=dst[quarter:])
         src, dst = dst, src
-    if src is not x:
-        x[...] = src
+    if src is buf or w is not x:
+        x[...] = src.view(np.float64)
     return x
 
 
@@ -175,16 +178,16 @@ def _measure_flat(x: np.ndarray, spec: SensingSpec) -> np.ndarray:
     work = np.zeros(spec.order)
     work[: x.size] = x
     total = x.sum()
-    fwht(work)
-    return 0.5 * (work[spec.rows] + total)
+    z = fwht(work)[spec.rows]
+    return np.multiply(np.add(z, total, out=z), 0.5, out=z)
 
 
 def _adjoint_flat(v: np.ndarray, spec: SensingSpec) -> np.ndarray:
     work = np.zeros(spec.order)
     work[spec.rows] = v
     total = v.sum()
-    fwht(work)
-    return 0.5 * (work[: spec.pixel_count] + total)
+    out = fwht(work)[: spec.pixel_count]
+    return np.multiply(np.add(out, total, out=out), 0.5, out=out)
 
 
 def measure(image: np.ndarray, spec: SensingSpec) -> np.ndarray:
@@ -209,13 +212,16 @@ def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
 
 def add_noise(z: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Add iid Gaussian noise with std sigma * mean(|z|), per-seed exact."""
-    if sigma < 0.0:
-        raise ValueError("noise level must be >= 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
     z = np.asarray(z, dtype=np.float64)
     if sigma == 0.0:
         return z.copy()
-    scale = sigma * np.mean(np.abs(z))
-    return z + scale * normal_stream(seed, z.size)
+    with np.errstate(over="ignore"):
+        z = z + sigma * np.mean(np.abs(z)) * normal_stream(seed, z.size)
+    if not np.isfinite(z).all():
+        raise ValueError(f"noise level {sigma} overflows the measurements")
+    return z
 
 
 @dataclass

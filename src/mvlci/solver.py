@@ -238,8 +238,11 @@ class _Engine:
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
         g = _adjoint_flat(r, self.spec) / self.scale
+        done = {}  # op_t @ g once per operator: joint's shift serves c and d1
         for ci, op, op_t in self.terms[bi]:
-            v = g if op is None else op_t @ g
+            v = g if op is None else done.get(id(op))
+            if v is None:
+                v = done[id(op)] = op_t @ g
             out[ci] += factor * v.reshape(self.comps[ci].shape)
 
     def _forwards(self, xl):

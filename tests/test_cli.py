@@ -196,6 +196,17 @@ def test_measure_noisy_with_a_seed_outside_u64(colocated, tmp_path, seed):
                           select_rows(ms.spec.order, 0.5, int(seed) % 2**64))
 
 
+@pytest.mark.parametrize("noise", ["1e308", "inf", "nan", "-0.1"])
+def test_measure_rejects_noise_it_cannot_write(colocated, tmp_path, capsys, noise):
+    """A noise level whose draws overflow float64 would write an MVM1 file
+    that read_mvm refuses; measure stops before creating any output."""
+    out = tmp_path / "out" / "m.mvm"
+    assert main(["measure", "--views", str(colocated / "view1.pgm"),
+                 "--rate", "0.5", "--noise", noise, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_measure_rejects_mismatched_views(tmp_path):
     write_pgm(tmp_path / "a.pgm", np.zeros((16, 16)))
     write_pgm(tmp_path / "b.pgm", np.zeros((16, 8)))

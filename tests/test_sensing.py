@@ -90,14 +90,77 @@ def butterfly_fwht(x):
 
 @pytest.mark.parametrize("log2n", range(19))
 def test_fwht_is_bit_identical_to_the_butterfly(log2n):
-    # odd log2n (e.g. 8192, 131072) takes the copy-back path
+    # odd log2n (e.g. 8192, 131072) ends in the half-length buffer and takes
+    # the copy-back path; the second input is all exact +0.0 and -0.0, so
+    # every sum and difference is a zero whose sign the bit patterns keep
     n = 1 << log2n
     rng = np.random.default_rng(log2n)
-    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    zeros = rng.choice([0.0, -0.0], n)
+    for x in (spread, zeros):
+        expected = butterfly_fwht(x.copy())
+        out = fwht(x)
+        assert out is x
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("x, expected", [
+    ([3.5], [3.5]),
+    ([-0.0], [-0.0]),
+    ([3.0, -0.5], [2.5, 3.5]),
+    ([-0.0, -0.0], [-0.0, 0.0]),
+    ([1.0, 2.0, 3.0, 4.0], [10.0, -2.0, -4.0, 0.0]),
+    ([-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, 0.0, 0.0]),
+])
+def test_fwht_smallest_orders(x, expected):
+    """n = 1 has no stage, n = 2 only the pair-packing stage 0, n = 4 one
+    complex stage; each result is exact, signed zeros included."""
+    x = np.array(x)
+    assert fwht(x) is x
+    assert np.array_equal(x.view(np.int64), np.array(expected).view(np.int64))
+
+
+@pytest.mark.parametrize("view", [np.s_[::2], np.s_[1::2], np.s_[::-1]])
+def test_fwht_transforms_a_strided_view_in_place(view):
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(2 * 256)
+    before = base.copy()
+    x = base[view][:256]
     expected = butterfly_fwht(x.copy())
-    out = fwht(x)
-    assert out is x
-    assert np.array_equal(x, expected)
+    assert fwht(x) is x
+    assert np.array_equal(base[view][:256], expected)
+    untouched = np.ones(base.size, dtype=bool)
+    untouched[np.arange(base.size)[view][:256]] = False
+    assert np.array_equal(base[untouched], before[untouched])
+
+
+@pytest.mark.parametrize("x", [
+    np.ones(8, dtype=np.float32),
+    np.ones(8, dtype=np.int64),
+    np.ones(8, dtype=np.complex128),
+    np.ones(8, dtype=">f8"),
+    np.ones((2, 4)),
+])
+def test_fwht_rejects_anything_but_1d_float64(x):
+    before = x.copy()
+    with pytest.raises(ValueError, match="float64"):
+        fwht(x)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 13, 1 << 16])
+def test_fwht_allocates_one_order_length_buffer(n):
+    """One call allocates at most the half-length complex128 buffer, 8 n
+    bytes, as the real ping-pong buffer it replaced did."""
+    x = np.random.default_rng(n).standard_normal(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fwht(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 4096
 
 
 def test_joint_solve_is_bit_identical_with_the_butterfly(monkeypatch):
@@ -455,6 +518,22 @@ def test_add_noise_is_deterministic_and_scaled():
     assert np.array_equal(a, b)
     # std of the added noise should be close to sigma * mean|z| = 0.1
     assert abs(np.std(a - z) - 0.1) < 0.005
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_add_noise_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        add_noise(np.ones(4), sigma, 0)
+
+
+@pytest.mark.parametrize("sigma", [1e308, 1e200])
+def test_add_noise_rejects_a_scale_that_overflows(sigma):
+    """sigma * mean|z| overflows at 1e308; at 1e200 the scale is finite but
+    the scaled draws overflow.  Either would hand non-finite measurements
+    to write_mvm, which read_mvm refuses."""
+    z = np.full(16, 1e120)
+    with pytest.raises(ValueError, match="overflows"):
+        add_noise(z, sigma, 0)
 
 
 def test_add_noise_rejects_negative_sigma():

@@ -167,6 +167,9 @@ def cmd_reconstruct(args) -> int:
     elif args.mode == "superres":
         if ms.sensor_count < 2:
             raise _UsageError("superres mode needs a two-sensor measurement file")
+        if args.dy != 0.0:
+            raise _UsageError(
+                f"superres mode models a horizontal offset only; got --dy {args.dy}")
         try:
             check_fractional_dx(args.dx)
         except ValueError as exc:

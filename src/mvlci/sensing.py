@@ -174,7 +174,13 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
 # measuring
 # ---------------------------------------------------------------------------
 
-def _measure_flat(x: np.ndarray, spec: SensingSpec) -> np.ndarray:
+def measure(image: np.ndarray, spec: SensingSpec) -> np.ndarray:
+    """Apply the 0/1 aperture patterns to an image: z = A x."""
+    x = np.asarray(image, dtype=np.float64).ravel()
+    if x.size != spec.pixel_count:
+        raise ValueError(
+            f"image has {x.size} pixels but spec expects {spec.pixel_count}"
+        )
     work = np.zeros(spec.order)
     work[: x.size] = x
     total = x.sum()
@@ -182,32 +188,18 @@ def _measure_flat(x: np.ndarray, spec: SensingSpec) -> np.ndarray:
     return np.multiply(np.add(z, total, out=z), 0.5, out=z)
 
 
-def _adjoint_flat(v: np.ndarray, spec: SensingSpec) -> np.ndarray:
+def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
+    """Apply the transpose of the measurement map: x = A^T v (flattened)."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size != spec.count:
+        raise ValueError(
+            f"got {v.size} values but spec selects {spec.count} rows"
+        )
     work = np.zeros(spec.order)
     work[spec.rows] = v
     total = v.sum()
     out = fwht(work)[: spec.pixel_count]
     return np.multiply(np.add(out, total, out=out), 0.5, out=out)
-
-
-def measure(image: np.ndarray, spec: SensingSpec) -> np.ndarray:
-    """Apply the 0/1 aperture patterns to an image: z = A x."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.size != spec.pixel_count:
-        raise ValueError(
-            f"image has {img.size} pixels but spec expects {spec.pixel_count}"
-        )
-    return _measure_flat(img.ravel(), spec)
-
-
-def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
-    """Apply the transpose of the measurement map: x = A^T v (flattened)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size != spec.count:
-        raise ValueError(
-            f"got {v.size} values but spec selects {spec.count} rows"
-        )
-    return _adjoint_flat(v.ravel(), spec)
 
 
 def add_noise(z: np.ndarray, sigma: float, seed: int) -> np.ndarray:

@@ -55,7 +55,7 @@ from .geometry import (
     build_region_masks,
     build_shift,
 )
-from .sensing import SensingSpec, _adjoint_flat, _measure_flat
+from .sensing import SensingSpec, measure, measure_adjoint
 
 
 class SolverError(RuntimeError):
@@ -233,11 +233,11 @@ class _Engine:
         for ci, op, _ in self.terms[bi]:
             v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
             img = v if img is None else img + v
-        return _measure_flat(img, self.spec) / self.scale
+        return measure(img, self.spec) / self.scale
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
-        g = _adjoint_flat(r, self.spec) / self.scale
+        g = measure_adjoint(r, self.spec) / self.scale
         done = {}  # op_t @ g once per operator: joint's shift serves c and d1
         for ci, op, op_t in self.terms[bi]:
             v = g if op is None else done.get(id(op))
@@ -317,16 +317,17 @@ class _Engine:
                 w = np.divide(ll[ci], mu, out=wl[ci])
                 w += g[ci]
                 tv_shrink(w, c.weight / mu, out=w)
-            # fidelity targets: equality, or projection onto the eps ball
+            # fidelity targets zbar + shrink r: projection onto each block's
+            # eps ball, formed in r's buffer; a noise-free block has radius 0,
+            # so shrink is 0 and the target is zbar
             targets = []
             for bi in range(nb):
-                if self.eps[bi] <= 0.0:
-                    targets.append(self.zbar[bi])
-                else:
-                    r = fwd[bi] + nu[bi] / mu - self.zbar[bi]
-                    rn = float(np.linalg.norm(r))
-                    shrink = min(1.0, self.eps[bi] / rn) if rn > 0.0 else 0.0
-                    targets.append(self.zbar[bi] + shrink * r)
+                r = fwd[bi] + nu[bi] / mu
+                r -= self.zbar[bi]
+                rn = float(np.linalg.norm(r))
+                shrink = min(1.0, self.eps[bi] / rn) if rn > 0.0 else 0.0
+                r *= shrink
+                targets.append(np.add(self.zbar[bi], r, out=r))
 
             # quadratic subproblem by projected conjugate gradients
             rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]

@@ -437,6 +437,8 @@ def test_oversized_order_is_a_clean_runtime_error(tmp_path, capsys):
     ("colocated", ["--mode", "superres", "--dx", "3.0"]),
     ("colocated", ["--sensor", "5"]),
     ("one_sensor", ["--mode", "joint"]),
+    # superres models a horizontal offset only: --dy is not silently ignored
+    ("offset_pair", ["--mode", "superres", "--dx", "3.5", "--dy", "2.0"]),
 ])
 def test_rejected_reconstruct_leaves_no_output_directory(request, tmp_path, capsys,
                                                          meas, flags):

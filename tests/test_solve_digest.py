@@ -18,8 +18,12 @@ import solve_digest
 
 def test_reduced_digest_is_stable_and_quick():
     t0 = time.perf_counter()
-    first = solve_digest.digest(reduced=True)
+    sections = dict(solve_digest.sections(reduced=True))
     second = solve_digest.digest(reduced=True)
     assert time.perf_counter() - t0 < 2.0
-    assert re.fullmatch(r"[0-9a-f]{64}", first)
-    assert first == second
+    assert re.fullmatch(r"[0-9a-f]{64}", sections["total"])
+    assert sections["total"] == second
+    # each section of solves hashes its own radii, so adding a solve to one
+    # section moves no other section
+    assert "epsilon" not in sections
+    assert {"epsilon.16", "epsilon.stacked"} <= set(sections)

@@ -12,10 +12,9 @@ from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.scene import make_test_scene
 from mvlci.sensing import (
     SensingSpec,
-    _adjoint_flat,
-    _measure_flat,
     add_noise,
     measure,
+    measure_adjoint,
     select_rows,
 )
 from mvlci.solver import (
@@ -120,7 +119,7 @@ def power_iteration(spec, iters=30):
     v = np.full(spec.pixel_count, 1.0 / math.sqrt(spec.pixel_count))
     lam = 1.0
     for _ in range(iters):
-        w = _adjoint_flat(_measure_flat(v, spec), spec)
+        w = measure_adjoint(measure(v, spec), spec)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 1.0
@@ -290,10 +289,10 @@ def assembled_normal(engine, xl, mu):
         for ci, op in b.terms:
             v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
             img = v.copy() if img is None else img + v
-        fl.append(_measure_flat(img, engine.spec) / engine.scale)
+        fl.append(measure(img, engine.spec) / engine.scale)
     out = [mu * tv_grad_adjoint(g) for g in gl]
     for b, f in zip(engine.blocks, fl):
-        g = _adjoint_flat(f, engine.spec) / engine.scale
+        g = measure_adjoint(f, engine.spec) / engine.scale
         for ci, op in b.terms:
             v = g if op is None else op.T.tocsr() @ g
             out[ci] += mu * v.reshape(engine.comps[ci].shape)

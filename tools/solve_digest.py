@@ -14,9 +14,10 @@ all of them, so two trees that differ show which outputs moved.  The
 sections are each `_solves` size/config, the stacked solve, the shifted
 joints, the padded solves, fig3/fig4 at each noise level, the CLI's
 scene and measure files, each CLI reconstruct run, the rows, the
-operators, and `epsilon`: every result's per-block fidelity radii, kept
-apart so the other sections compare like for like with a tree whose
-results lack that field.
+operators, and one `epsilon.<section>` per section of solves: the
+per-block fidelity radii of its results, kept apart so the other
+sections compare like for like with a tree whose results lack that
+field, and per section so adding a solve moves no other section.
 
 Covered at full size (the default): single/joint/superres at 64x64 with
 the default SolverConfig and with max_iters=60, the same three at
@@ -83,6 +84,7 @@ class _Part:
 
     def __init__(self, digest: _Digest, name: str):
         self.digest = digest
+        self.name = name
         self.own = digest.sections.setdefault(name, hashlib.sha256())
 
     def update(self, data: bytes) -> None:
@@ -101,10 +103,10 @@ def _put(h, label: str, value) -> None:
 
 
 def _put_result(h, label: str, res) -> None:
-    """Every field of `res`, in declaration order; `epsilon` goes to its
-    own section."""
+    """Every field of `res`, in declaration order; `epsilon` goes to the
+    section `epsilon.<h's section>`."""
     for f in dataclasses.fields(res):
-        _put(h.digest.part("epsilon") if f.name == "epsilon" else h,
+        _put(h.digest.part(f"epsilon.{h.name}") if f.name == "epsilon" else h,
              f"{label}.{f.name}", getattr(res, f.name))
 
 
@@ -280,4 +282,4 @@ if __name__ == "__main__":
     parser.add_argument("--reduced", action="store_true",
                         help="short 16x16 solves and CLI runs only")
     for name, hexdigest in sections(parser.parse_args().reduced):
-        print(f"{name:16s} {hexdigest}")
+        print(f"{name:24s} {hexdigest}")

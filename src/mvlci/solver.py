@@ -36,7 +36,19 @@ multipliers, the fidelity multipliers, and g = E D x and A x of the current
 x.  The shrink, both multiplier updates, the right-hand side and the CG
 vectors are updated in place; the normal operator forms one component's
 gradient or one block's measurements at a time and drops it once taken
-back through its adjoint.
+back through its adjoint, and CG writes H p over one list per solve.
+
+Each component's TV terms run on its support window, the bounding box of
+its mask: the full canvas without a mask, empty for an all-False one (a
+joint strip is as wide as the parallax shift).  The edge mask E zeroes
+every difference off the window and every one leaving it, so D x, E, the
+shrink, w and its multipliers are window-sized and D^T g is written into
+a zeroed full canvas.  The data term, the projection, the CG vectors and
+their dot products stay full-canvas, and the objective sums |g| laid out
+on the full canvas: BLAS dot lanes and numpy's pairwise sum group terms
+by position, so cropping either would move last-ulp bits, and the signed
+zeros off the supports reach the outputs only through the full-canvas CG
+updates.
 """
 
 from __future__ import annotations
@@ -117,13 +129,15 @@ def tv_grad(image: np.ndarray) -> np.ndarray:
     """Forward differences with replicate boundary, stacked as (2, h, w)."""
     img = np.asarray(image, dtype=np.float64)
     g = np.zeros((2,) + img.shape)
-    g[0][:, :-1] = img[:, 1:] - img[:, :-1]
-    g[1][:-1, :] = img[1:, :] - img[:-1, :]
+    np.subtract(img[:, 1:], img[:, :-1], out=g[0][:, :-1])
+    np.subtract(img[1:, :], img[:-1, :], out=g[1][:-1, :])
     return g
 
 
-def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
-    out = np.zeros(g.shape[1:])
+def tv_grad_adjoint(g: np.ndarray, out=None) -> np.ndarray:
+    """D^T g, added into `out` when given (a zeroed `out` gets D^T g)."""
+    if out is None:
+        out = np.zeros(g.shape[1:])
     gx = g[0]
     gy = g[1]
     out[:, 1:] += gx[:, :-1]
@@ -169,18 +183,36 @@ class _Comp:
     mask: np.ndarray | None   # bool (h, w) or None for full support
     weight: float             # l1 weight on its TV term
 
+    def __post_init__(self):
+        # the support window: the bounding box of the mask, the full canvas
+        # without one and empty for an all-False mask
+        h, w = self.shape
+        if self.mask is None:
+            self.window = (slice(0, h), slice(0, w))
+        elif not self.mask.any():
+            self.window = (slice(0, 0), slice(0, 0))
+        else:
+            rows = np.flatnonzero(self.mask.any(axis=1))
+            cols = np.flatnonzero(self.mask.any(axis=0))
+            self.window = (slice(int(rows[0]), int(rows[-1]) + 1),
+                           slice(int(cols[0]), int(cols[-1]) + 1))
+
     def edge_mask(self) -> np.ndarray | None:
-        """Bool mask of TV differences interior to the support; None for
-        full support, where tv_grad already zeroes the replicate border.
+        """Bool mask of TV differences interior to the support, on the
+        support window; None for full support, where tv_grad already zeroes
+        the replicate border.
 
         Differences that straddle the support boundary are excluded, so a
         component pays no TV for the cliff between its content and the
-        zeroed-out remainder of the canvas.
+        zeroed-out remainder of the canvas.  Every difference off the
+        window, or leaving it, has an end outside the support and is
+        excluded, so the TV terms need only the window: its replicate
+        border stands in for the differences that leave it.
         """
         if self.mask is None:
             return None
-        m = self.mask
-        e = np.zeros((2,) + self.shape, dtype=bool)
+        m = self.mask[self.window]
+        e = np.zeros((2,) + m.shape, dtype=bool)
         e[0][:, :-1] = m[:, :-1] & m[:, 1:]
         e[1][:-1, :] = m[:-1, :] & m[1:, :]
         return e
@@ -233,32 +265,59 @@ class _Engine:
         for ci, op, _ in self.terms[bi]:
             v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
             img = v if img is None else img + v
-        return measure(img, self.spec) / self.scale
+        z = measure(img, self.spec)
+        z /= self.scale
+        return z
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
-        g = measure_adjoint(r, self.spec) / self.scale
-        done = {}  # op_t @ g once per operator: joint's shift serves c and d1
-        for ci, op, op_t in self.terms[bi]:
-            v = g if op is None else done.get(id(op))
-            if v is None:
-                v = done[id(op)] = op_t @ g
-            out[ci] += factor * v.reshape(self.comps[ci].shape)
+        g = measure_adjoint(r, self.spec)
+        g /= self.scale
+        # op_t @ g once per operator (joint's shift serves c and d1); every
+        # product is taken before g and the products are scaled in place
+        vs = {None: g}
+        for _, op, op_t in self.terms[bi]:
+            if op is not None and id(op) not in vs:
+                vs[id(op)] = op_t @ g
+        for v in vs.values():
+            v *= factor
+        for ci, op, _ in self.terms[bi]:
+            v = vs[None if op is None else id(op)]
+            out[ci] += v.reshape(self.comps[ci].shape)
 
     def _forwards(self, xl):
         """A_bar B_b x for every block b."""
         return [self._forward(xl, bi) for bi in range(len(self.blocks))]
 
     def _grad(self, x, ci):
-        """E_c D x_c: component ci's masked TV differences."""
-        g, e = tv_grad(x), self.edges[ci]
+        """E_c D x_c: component ci's masked TV differences on its window."""
+        g, e = tv_grad(x[self.comps[ci].window]), self.edges[ci]
         return g if e is None else np.multiply(g, e, out=g)
 
-    def _normal(self, xl, mu, g=None, fwd=None):
-        """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected.
-        Each E_c D x_c and A_bar B_b x is dropped once taken back through its
-        adjoint; a caller that carries them for this x passes them as g, fwd."""
-        out = [tv_grad_adjoint(self._grad(x, ci) if g is None else g[ci])
+    def _grad_adjoint(self, g, ci, out=None):
+        """D^T g for window differences g, written over component ci's full
+        canvas `out`, or a new one."""
+        c = self.comps[ci]
+        out = np.empty(c.shape) if out is None else out
+        out.fill(0.0)
+        tv_grad_adjoint(g, out=out[c.window])
+        return out
+
+    def _tv(self, g, ci):
+        """sum |g| over component ci's differences laid out on the full
+        canvas, so the pairwise sum groups its terms as a full-canvas g's."""
+        c = self.comps[ci]
+        a = np.zeros((2,) + c.shape)
+        np.abs(g, out=a[(slice(None),) + c.window])
+        return float(a.sum())
+
+    def _normal(self, xl, mu, g=None, fwd=None, out=None):
+        """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
+        written over the list `out` or a new one.  Each E_c D x_c and
+        A_bar B_b x is dropped once taken back through its adjoint; a caller
+        that carries them for this x passes them as g, fwd."""
+        out = [self._grad_adjoint(self._grad(x, ci) if g is None else g[ci], ci,
+                                  None if out is None else out[ci])
                for ci, x in enumerate(xl)]
         for h in out:
             h *= mu
@@ -330,7 +389,8 @@ class _Engine:
                 targets.append(np.add(self.zbar[bi], r, out=r))
 
             # quadratic subproblem by projected conjugate gradients
-            rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]
+            rhs = [self._grad_adjoint(w - lc / mu, ci)
+                   for ci, (w, lc) in enumerate(zip(wl, ll))]
             for h in rhs:
                 h *= mu
             for bi in range(nb):
@@ -361,8 +421,8 @@ class _Engine:
             for ci, w in enumerate(wl):
                 ll[ci] += np.multiply(mu, np.subtract(g[ci], w, out=w), out=w)
 
-            obj = sum(c.weight * float(np.abs(gc).sum())
-                      for c, gc in zip(self.comps, g))
+            obj = sum(c.weight * self._tv(gc, ci)
+                      for ci, (c, gc) in enumerate(zip(self.comps, g)))
             res_abs = [float(np.linalg.norm(fwd[bi] - self.zbar[bi]))
                        for bi in range(nb)]
             res_rel = [res_abs[bi] / (self.znorm[bi] if self.znorm[bi] > 0.0 else 1.0)
@@ -398,19 +458,19 @@ class _Engine:
         xl = [x.copy() for x in x0]
         rl = r0
         pl = [r.copy() for r in rl]
+        hp = [np.empty_like(p) for p in pl]    # H p, rewritten every step
         rs = self._dot(rl, rl)
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
-            hp = self._normal(pl, mu)
+            self._normal(pl, mu, out=hp)
             denom = self._dot(pl, hp)
             if denom <= 0.0:
                 break
             alpha = rs / denom
-            for ci, p in enumerate(pl):
-                xl[ci] += alpha * p
-                rl[ci] -= np.multiply(alpha, hp[ci], out=hp[ci])
-            hp = None    # not held while the next _normal builds its successor
+            for x, r, p, h in zip(xl, rl, pl, hp):
+                r -= np.multiply(alpha, h, out=h)
+                x += np.multiply(alpha, p, out=h)
             rs_new = self._dot(rl, rl)
             ratio = rs_new / rs
             rs = rs_new

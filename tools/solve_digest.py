@@ -12,9 +12,9 @@ is imported from PYTHONPATH, so the digest of another checkout is
 It prints one `<section> <sha256>` line per section, then the total over
 all of them, so two trees that differ show which outputs moved.  The
 sections are each `_solves` size/config, the stacked solve, the shifted
-joints, the padded solves, fig3/fig4 at each noise level, the CLI's
-scene and measure files, each CLI reconstruct run, the rows, the
-operators, and one `epsilon.<section>` per section of solves: the
+joints, the co-located joint, the padded solves, fig3/fig4 at each noise
+level, the CLI's scene and measure files, each CLI reconstruct run, the
+rows, the operators, and one `epsilon.<section>` per section of solves: the
 per-block fidelity radii of its results, kept apart so the other
 sections compare like for like with a tree whose results lack that
 field, and per section so adding a solve moves no other section.
@@ -22,7 +22,8 @@ field, and per section so adding a solve moves no other section.
 Covered at full size (the default): single/joint/superres at 64x64 with
 the default SolverConfig and with max_iters=60, the same three at
 256x256, a seven-vector stacked single solve at noise 0.02, two 32x32
-joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2),
+joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2)
+and one at (0, 0), whose all-False disjoint masks have empty windows,
 single and joint at 60x60, whose 3600 pixels are zero-padded to order
 4096 (the one case where the operator norm is approximate),
 fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
@@ -159,6 +160,18 @@ def _shifted_joints(h) -> None:
             SolverConfig(max_iters=20)))
 
 
+def _colocated_joint(h) -> None:
+    """A joint solve with both sensors at one position (dx = dy = 0): both
+    disjoint masks are all False, so their support windows are empty."""
+    size = 32
+    spec = _spec(size, 0.25, seed=8)
+    v = make_test_scene("blocks", size, size, 11).base
+    z = measure(v, spec)
+    _put_result(h, "joint.colocated", reconstruct_joint(
+        z, z, spec, size, size, build_shift(0.0, 0.0, size, size),
+        build_region_masks(0.0, 0.0, size, size), SolverConfig(max_iters=20)))
+
+
 def _stacked(h, size: int, max_iters: int) -> None:
     """Seven noisy vectors of one view in one stacked solve at noise 0.02."""
     v = make_test_scene("gradient-bars", size, size, 3).base
@@ -263,6 +276,7 @@ def sections(reduced: bool = False) -> list:
         _solves(d.part("256"), 256, SolverConfig(), "256")
         _stacked(d.part("stacked"), 64, 120)
         _shifted_joints(d.part("shifted-joints"))
+        _colocated_joint(d.part("colocated-joint"))
         _single_joint(d.part("padded"), 60, SolverConfig(), "padded")
         _studies(d)
         _cli(d, 80)

@@ -134,21 +134,33 @@ def cmd_measure(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
-    for flag, value in (("--dx", args.dx), ("--dy", args.dy)):
+    # a flag the mode ignores is an error, not a silent no-op; the manifest
+    # records only the flags the mode uses
+    single = args.mode == "single"
+    for flag, value, used in (("--sensor", args.sensor, single),
+                              ("--dx", args.dx, not single),
+                              ("--dy", args.dy, not single)):
+        if value is not None and not used:
+            raise _UsageError(f"{args.mode} mode does not take {flag}")
+    sensor = "1" if args.sensor is None else args.sensor
+    dx = 3.5 if args.dx is None else args.dx
+    dy = 0.0 if args.dy is None else args.dy
+    for flag, value in (("--dx", dx), ("--dy", dy)):
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value}")
+    mode_flags = {"sensor": sensor} if single else {"dx": repr(dx), "dy": repr(dy)}
     ms = read_mvm(args.meas)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
                        sigma=args.sigma, noise_sigma=ms.noise_sigma)
     written = {}
 
     if args.mode == "single":
-        if args.sensor == "all":
+        if sensor == "all":
             # stacked solve over every sensor's vector (useful when the
             # sensors are co-located and the vectors constrain one image)
             z = np.stack(ms.values)
         else:
-            idx = _parse_sensor(args.sensor)
+            idx = _parse_sensor(sensor)
             if not 1 <= idx <= ms.sensor_count:
                 raise _UsageError(f"sensor {idx} not in measurement file")
             z = ms.values[idx - 1]
@@ -157,8 +169,8 @@ def cmd_reconstruct(args) -> int:
     elif args.mode == "joint":
         if ms.sensor_count < 2:
             raise _UsageError("joint mode needs a two-sensor measurement file")
-        shift = build_shift(args.dx, args.dy, ms.width, ms.height)
-        masks = build_region_masks(args.dx, args.dy, ms.width, ms.height)
+        shift = build_shift(dx, dy, ms.width, ms.height)
+        masks = build_region_masks(dx, dy, ms.width, ms.height)
         res = reconstruct_joint(ms.values[0], ms.values[1], ms.spec,
                                 ms.width, ms.height, shift, masks, cfg)
         written = {"common": res.common, "disjoint1": res.disjoint1,
@@ -167,15 +179,15 @@ def cmd_reconstruct(args) -> int:
     elif args.mode == "superres":
         if ms.sensor_count < 2:
             raise _UsageError("superres mode needs a two-sensor measurement file")
-        if args.dy != 0.0:
+        if dy != 0.0:
             raise _UsageError(
-                f"superres mode models a horizontal offset only; got --dy {args.dy}")
+                f"superres mode models a horizontal offset only; got --dy {dy}")
         try:
-            check_fractional_dx(args.dx)
+            check_fractional_dx(dx)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         res = reconstruct_superres(ms.values[0], ms.values[1], ms.spec,
-                                   ms.width, ms.height, args.dx, cfg)
+                                   ms.width, ms.height, dx, cfg)
         written = {"superres": res.image, "disjoint1": res.disjoint1,
                    "disjoint2": res.disjoint2}
     else:  # pragma: no cover - argparse restricts choices
@@ -193,8 +205,7 @@ def cmd_reconstruct(args) -> int:
     for name, img in written.items():
         write_pgm(outdir / f"{name}.pgm", clamp01(img), maxval=65535)
     entries = _manifest_base("reconstruct", {
-        "meas": args.meas, "mode": args.mode, "sensor": args.sensor,
-        "dx": repr(args.dx), "dy": repr(args.dy), "sigma": repr(args.sigma),
+        "meas": args.meas, "mode": args.mode, **mode_flags, "sigma": repr(args.sigma),
         "tol": repr(args.tol), "max_iters": args.max_iters,
         "epsilon": ",".join(repr(e) for e in res.epsilon), "out": outdir,
         "iterations": res.iterations, "converged": int(res.converged),
@@ -283,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meas", required=True)
     p.add_argument("--mode", choices=("single", "joint", "superres"),
                    default="single")
-    p.add_argument("--sensor", default="1",
-                   help="1-based sensor index, or 'all' for a stacked solve")
-    p.add_argument("--dx", type=float, default=3.5)
-    p.add_argument("--dy", type=float, default=0.0)
+    p.add_argument("--sensor", help="single mode: 1-based sensor index "
+                   "(default 1), or 'all' for a stacked solve")
+    p.add_argument("--dx", type=float, help="joint/superres (default 3.5)")
+    p.add_argument("--dy", type=float, help="joint/superres (default 0)")
     p.add_argument("--sigma", type=float, default=solver_defaults.sigma)
     p.add_argument("--tol", type=float, default=solver_defaults.rel_tol)
     p.add_argument("--max-iters", type=int, default=solver_defaults.max_iters)

@@ -38,17 +38,17 @@ vectors are updated in place; the normal operator forms one component's
 gradient or one block's measurements at a time and drops it once taken
 back through its adjoint, and CG writes H p over one list per solve.
 
-Each component's TV terms run on its support window, the bounding box of
-its mask: the full canvas without a mask, empty for an all-False one (a
-joint strip is as wide as the parallax shift).  The edge mask E zeroes
-every difference off the window and every one leaving it, so D x, E, the
-shrink, w and its multipliers are window-sized and D^T g is written into
-a zeroed full canvas.  The data term, the projection, the CG vectors and
-their dot products stay full-canvas, and the objective sums |g| laid out
-on the full canvas: BLAS dot lanes and numpy's pairwise sum group terms
-by position, so cropping either would move last-ulp bits, and the signed
-zeros off the supports reach the outputs only through the full-canvas CG
-updates.
+Every per-component array lives on the component's support window, the
+bounding box of its mask: the full canvas without a mask, empty for an
+all-False one (a joint strip is as wide as the parallax shift).  x, w, its
+multipliers, g, the right-hand side and the CG vectors are window-sized,
+and the projection, the dot products and the TV terms run on the window;
+the edge mask E zeroes every difference leaving it.  Only the data term
+needs canvases: each block's image is composed by adding the windows
+behind each operator into one zeroed canvas, and its adjoint is cropped
+back to each window.  A component whose window is the whole canvas is its
+own canvas, so single-view solves run the full-canvas operations
+unchanged.  The outputs are laid on zeroed canvases once, at return.
 """
 
 from __future__ import annotations
@@ -196,6 +196,9 @@ class _Comp:
             cols = np.flatnonzero(self.mask.any(axis=0))
             self.window = (slice(int(rows[0]), int(rows[-1]) + 1),
                            slice(int(cols[0]), int(cols[-1]) + 1))
+        self.window_shape = tuple(s.stop - s.start for s in self.window)
+        # a component whose window is the canvas is its own canvas
+        self.full = self.window_shape == tuple(self.shape)
 
     def edge_mask(self) -> np.ndarray | None:
         """Bool mask of TV differences interior to the support, on the
@@ -252,19 +255,45 @@ class _Engine:
                       if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
         self.eps = [r / self.scale for r in self.radii]
         self.edges = [c.edge_mask() for c in comps]
-        # each term with its operator's transpose, taken once: op.T is a CSC
-        # view of the CSR op that sums in the order a CSR copy of it would
-        self.terms = [[(ci, op, None if op is None else op.T) for ci, op in b.terms]
-                      for b in blocks]
+        self.masks = [None if c.mask is None else c.mask[c.window] for c in comps]
+        # each block's terms grouped by operator (joint's shift maps c + d1),
+        # the identity last, each with its transpose: op.T is a CSC view of
+        # the CSR op that sums in the order a CSR copy of it would
+        self.groups = []
+        for b in blocks:
+            ops = {}
+            for ci, op in sorted(b.terms, key=lambda term: term[1] is None):
+                ops.setdefault(id(op), (op, []))[1].append(ci)
+            self.groups.append([(op, None if op is None else op.T, cis)
+                                for op, cis in ops.values()])
 
     # -- linear pieces ------------------------------------------------------
 
+    def _compose(self, xl, cis, canvas=None):
+        """The canvas of components cis: each window added into `canvas`, or
+        into a new zeroed one; a lone full component is its own canvas."""
+        if canvas is None:
+            c = self.comps[cis[0]]
+            if len(cis) == 1 and c.full:
+                return xl[cis[0]]
+            canvas = np.zeros(c.shape)
+        for ci in cis:
+            canvas[self.comps[ci].window] += xl[ci]
+        return canvas
+
     def _forward(self, xl, bi):
-        """A_bar applied to the composed image of block bi."""
+        """A_bar applied to the composed image of block bi: each operator
+        maps its components' canvas, and the identity's components are
+        added last into the sum of those products."""
         img = None
-        for ci, op, _ in self.terms[bi]:
-            v = xl[ci].ravel() if op is None else op @ xl[ci].ravel()
-            img = v if img is None else img + v
+        for op, _, cis in self.groups[bi]:
+            if op is None:
+                shape = self.comps[cis[0]].shape
+                img = self._compose(xl, cis, None if img is None
+                                    else img.reshape(shape)).ravel()
+            else:
+                v = op @ self._compose(xl, cis).ravel()
+                img = v if img is None else img + v
         z = measure(img, self.spec)
         z /= self.scale
         return z
@@ -273,17 +302,14 @@ class _Engine:
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
         g = measure_adjoint(r, self.spec)
         g /= self.scale
-        # op_t @ g once per operator (joint's shift serves c and d1); every
-        # product is taken before g and the products are scaled in place
-        vs = {None: g}
-        for _, op, op_t in self.terms[bi]:
-            if op is not None and id(op) not in vs:
-                vs[id(op)] = op_t @ g
-        for v in vs.values():
+        # op_t @ g once per operator; every product is taken before g, then
+        # each is scaled in place and cropped to its components' windows
+        vs = [(g if op is None else op_t @ g, cis) for op, op_t, cis in self.groups[bi]]
+        for v, cis in vs:
             v *= factor
-        for ci, op, _ in self.terms[bi]:
-            v = vs[None if op is None else id(op)]
-            out[ci] += v.reshape(self.comps[ci].shape)
+            for ci in cis:
+                c = self.comps[ci]
+                out[ci] += v.reshape(c.shape)[c.window]
 
     def _forwards(self, xl):
         """A_bar B_b x for every block b."""
@@ -291,35 +317,19 @@ class _Engine:
 
     def _grad(self, x, ci):
         """E_c D x_c: component ci's masked TV differences on its window."""
-        g, e = tv_grad(x[self.comps[ci].window]), self.edges[ci]
+        g, e = tv_grad(x), self.edges[ci]
         return g if e is None else np.multiply(g, e, out=g)
-
-    def _grad_adjoint(self, g, ci, out=None):
-        """D^T g for window differences g, written over component ci's full
-        canvas `out`, or a new one."""
-        c = self.comps[ci]
-        out = np.empty(c.shape) if out is None else out
-        out.fill(0.0)
-        tv_grad_adjoint(g, out=out[c.window])
-        return out
-
-    def _tv(self, g, ci):
-        """sum |g| over component ci's differences laid out on the full
-        canvas, so the pairwise sum groups its terms as a full-canvas g's."""
-        c = self.comps[ci]
-        a = np.zeros((2,) + c.shape)
-        np.abs(g, out=a[(slice(None),) + c.window])
-        return float(a.sum())
 
     def _normal(self, xl, mu, g=None, fwd=None, out=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
         written over the list `out` or a new one.  Each E_c D x_c and
         A_bar B_b x is dropped once taken back through its adjoint; a caller
         that carries them for this x passes them as g, fwd."""
-        out = [self._grad_adjoint(self._grad(x, ci) if g is None else g[ci], ci,
-                                  None if out is None else out[ci])
-               for ci, x in enumerate(xl)]
-        for h in out:
+        if out is None:
+            out = [np.empty(c.window_shape) for c in self.comps]
+        for ci, (x, h) in enumerate(zip(xl, out)):
+            h.fill(0.0)
+            tv_grad_adjoint(self._grad(x, ci) if g is None else g[ci], out=h)
             h *= mu
         for bi in range(len(self.blocks)):
             self._backward(self._forward(xl, bi) if fwd is None else fwd[bi],
@@ -328,9 +338,9 @@ class _Engine:
         return out
 
     def _project(self, xl):
-        for c, x in zip(self.comps, xl):
-            if c.mask is not None:
-                x *= c.mask
+        for m, x in zip(self.masks, xl):
+            if m is not None:
+                x *= m
 
     def _dot(self, al, bl):
         return sum(float(np.dot(a.ravel(), b.ravel())) for a, b in zip(al, bl))
@@ -348,7 +358,7 @@ class _Engine:
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
         # the flat (mean-intensity) part at image scale; _backward already
         # divides by scale^2 = ||A||^2 / order, so correct by 1/order
-        xl = [np.zeros(c.shape) for c in self.comps]
+        xl = [np.zeros(c.window_shape) for c in self.comps]
         for bi in range(nb):
             self._backward(self.zbar[bi], bi, xl, 1.0)
         for ci in range(len(self.comps)):
@@ -389,8 +399,7 @@ class _Engine:
                 targets.append(np.add(self.zbar[bi], r, out=r))
 
             # quadratic subproblem by projected conjugate gradients
-            rhs = [self._grad_adjoint(w - lc / mu, ci)
-                   for ci, (w, lc) in enumerate(zip(wl, ll))]
+            rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]
             for h in rhs:
                 h *= mu
             for bi in range(nb):
@@ -421,8 +430,8 @@ class _Engine:
             for ci, w in enumerate(wl):
                 ll[ci] += np.multiply(mu, np.subtract(g[ci], w, out=w), out=w)
 
-            obj = sum(c.weight * self._tv(gc, ci)
-                      for ci, (c, gc) in enumerate(zip(self.comps, g)))
+            obj = sum(c.weight * float(np.abs(gc).sum())
+                      for c, gc in zip(self.comps, g))
             res_abs = [float(np.linalg.norm(fwd[bi] - self.zbar[bi]))
                        for bi in range(nb)]
             res_rel = [res_abs[bi] / (self.znorm[bi] if self.znorm[bi] > 0.0 else 1.0)
@@ -444,7 +453,9 @@ class _Engine:
             if t % CONTINUATION_EVERY == 0:
                 mu = min(2.0 * mu, cap)
 
-        return xl, ReconstructionResult(
+        # each windowed component laid on a zeroed canvas
+        images = [self._compose(xl, [ci]) for ci in range(len(self.comps))]
+        return images, ReconstructionResult(
             iterations=len(obj_hist),
             converged=converged,
             objective_history=np.asarray(obj_hist),

@@ -232,6 +232,9 @@ def test_reconstruct_single_writes_image_and_manifest(colocated, tmp_path):
     assert manifest["mode"] == "single"
     assert manifest["converged"] == "1"
     assert manifest["outputs"] == "recon"
+    # the manifest records the flags single mode uses, not the offsets
+    assert manifest["sensor"] == "1"
+    assert "dx" not in manifest and "dy" not in manifest
 
 
 @pytest.mark.parametrize("mode, blocks", [("single", 1), ("joint", 2)],
@@ -241,8 +244,9 @@ def test_reconstruct_verbose_logs_each_iteration_to_stderr(colocated, tmp_path,
     """One line per iteration with one residual column per measurement
     block; the last line agrees with the manifest."""
     out = tmp_path / "rec"
+    offset = ["--dx", "0"] if mode == "joint" else []
     assert main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
-                 "--mode", mode, "--dx", "0", "--verbose", "--max-iters", "3",
+                 "--mode", mode, *offset, "--verbose", "--max-iters", "3",
                  "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -294,6 +298,9 @@ def test_reconstruct_joint_offset_pair(offset_pair, tmp_path):
     v1 = read_pgm(out / "view1.pgm")
     truth = read_pgm(offset_pair / "view1.pgm")
     assert np.mean(np.abs(v1 - truth)) < 0.08
+    manifest = read_manifest(out / "manifest.txt")
+    assert (manifest["dx"], manifest["dy"]) == ("3.5", "0.0")
+    assert "sensor" not in manifest
 
 
 def test_reconstruct_superres_doubles_width(offset_pair, tmp_path):
@@ -377,6 +384,12 @@ def test_noisy_multi_sensor_manifest_has_one_epsilon_per_sensor(noisy_pair, tmp_
     ["--mode", "superres", "--dx", "3.0"],
     ["--sensor", "7"],
     ["--sensor", "abc"],
+    # a flag the mode ignores is rejected, not recorded
+    ["--dx", "7"],
+    ["--mode", "single", "--dy", "2"],
+    ["--mode", "single", "--dx", "7", "--dy", "2"],
+    ["--mode", "joint", "--sensor", "1"],
+    ["--mode", "superres", "--sensor", "2"],
 ])
 def test_reconstruct_usage_errors(colocated, tmp_path, flags):
     code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
@@ -439,6 +452,11 @@ def test_oversized_order_is_a_clean_runtime_error(tmp_path, capsys):
     ("one_sensor", ["--mode", "joint"]),
     # superres models a horizontal offset only: --dy is not silently ignored
     ("offset_pair", ["--mode", "superres", "--dx", "3.5", "--dy", "2.0"]),
+    # nor are the offsets in single mode, or --sensor in joint/superres
+    ("colocated", ["--mode", "single", "--dx", "7", "--dy", "2"]),
+    ("colocated", ["--dy", "2"]),
+    ("offset_pair", ["--mode", "joint", "--sensor", "1"]),
+    ("offset_pair", ["--mode", "superres", "--dx", "3.5", "--sensor", "all"]),
 ])
 def test_rejected_reconstruct_leaves_no_output_directory(request, tmp_path, capsys,
                                                          meas, flags):

@@ -26,4 +26,5 @@ def test_reduced_digest_is_stable_and_quick():
     # each section of solves hashes its own radii, so adding a solve to one
     # section moves no other section
     assert "epsilon" not in sections
-    assert {"epsilon.16", "epsilon.stacked"} <= set(sections)
+    assert {"epsilon.16.single", "epsilon.16.joint", "epsilon.16.superres",
+            "epsilon.stacked"} <= set(sections)

@@ -11,10 +11,12 @@ is imported from PYTHONPATH, so the digest of another checkout is
 
 It prints one `<section> <sha256>` line per section, then the total over
 all of them, so two trees that differ show which outputs moved.  The
-sections are each `_solves` size/config, the stacked solve, the shifted
-joints, the co-located joint, the padded solves, fig3/fig4 at each noise
-level, the CLI's scene and measure files, each CLI reconstruct run, the
-rows, the operators, and one `epsilon.<section>` per section of solves: the
+sections are each `_solves` size/config per mode (`64.single`,
+`64.joint`, `64.superres`, ...), so a change that keeps one mode's bits
+shows it; the stacked solve, the shifted joints, the co-located joint,
+the padded solves per mode, fig3/fig4 at each noise level, the CLI's
+scene and measure files, each CLI reconstruct run, the rows, the
+operators, and one `epsilon.<section>` per section of solves: the
 per-block fidelity radii of its results, kept apart so the other
 sections compare like for like with a tree whose results lack that
 field, and per section so adding a solve moves no other section.
@@ -117,23 +119,23 @@ def _spec(size: int, rate: float, seed: int = 42) -> SensingSpec:
                        seed=seed, pixel_count=size * size)
 
 
-def _single_joint(h, size: int, cfg: SolverConfig, label: str) -> None:
-    """Single and joint on one blocks input."""
+def _single_joint(d: _Digest, size: int, cfg: SolverConfig, label: str) -> None:
+    """Single and joint on one blocks input, in sections <label>.<mode>."""
     masks = build_region_masks(DX, 0.0, size, size)
     shift = build_shift(DX, 0.0, size, size)
     v1 = make_test_scene("blocks", size, size, 7).base
     v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
     spec = _spec(size, 0.125)
     z1, z2 = measure(v1, spec), measure(v2, spec)
-    _put_result(h, f"{label}.single",
+    _put_result(d.part(f"{label}.single"), f"{label}.single",
                 reconstruct_single(z1, spec, size, size, cfg))
-    _put_result(h, f"{label}.joint",
+    _put_result(d.part(f"{label}.joint"), f"{label}.joint",
                 reconstruct_joint(z1, z2, spec, size, size, shift, masks, cfg))
 
 
-def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
+def _solves(d: _Digest, size: int, cfg: SolverConfig, label: str) -> None:
     """Single, joint and superres on one blocks / checker-text input."""
-    _single_joint(h, size, cfg, label)
+    _single_joint(d, size, cfg, label)
     geo = CameraGeometry(aperture_width=size, aperture_height=size,
                          sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
                          sensor_plane_distance=1.0, scene_distance=1.0e7)
@@ -141,7 +143,7 @@ def _solves(h, size: int, cfg: SolverConfig, label: str) -> None:
     text = make_test_scene("checker-text", 2 * size + 2 * pad, size, 7)
     spec = _spec(size, 0.25)
     z1, z2 = (measure(render_view(text, geo, k), spec) for k in (1, 2))
-    _put_result(h, f"{label}.superres",
+    _put_result(d.part(f"{label}.superres"), f"{label}.superres",
                 reconstruct_superres(z1, z2, spec, size, size, DX, cfg))
 
 
@@ -267,17 +269,17 @@ def sections(reduced: bool = False) -> list:
     ("total", hex SHA-256 over every covered output in that order)."""
     d = _Digest()
     if reduced:
-        _solves(d.part("16"), 16, SolverConfig(max_iters=20), "16")
+        _solves(d, 16, SolverConfig(max_iters=20), "16")
         _stacked(d.part("stacked"), 16, 20)
         _cli(d, 10)
     else:
-        _solves(d.part("64"), 64, SolverConfig(), "64")
-        _solves(d.part("64.max60"), 64, SolverConfig(max_iters=60), "64.max60")
-        _solves(d.part("256"), 256, SolverConfig(), "256")
+        _solves(d, 64, SolverConfig(), "64")
+        _solves(d, 64, SolverConfig(max_iters=60), "64.max60")
+        _solves(d, 256, SolverConfig(), "256")
         _stacked(d.part("stacked"), 64, 120)
         _shifted_joints(d.part("shifted-joints"))
         _colocated_joint(d.part("colocated-joint"))
-        _single_joint(d.part("padded"), 60, SolverConfig(), "padded")
+        _single_joint(d, 60, SolverConfig(), "padded")
         _studies(d)
         _cli(d, 80)
         _rows(d.part("rows"))

@@ -14,6 +14,10 @@ The transform packs each real pair into one complex128 after its first
 stage and runs the rest in ping-pong (Stockham) order on those pairs; it
 must stay bit-identical to the natural-order butterfly: the solver's stop
 rule turns a last-ulp difference into a different stopping iteration.
+An Aperture holds one spec's order-length work line and the transform's
+views and buffer on it (fwht_stages), so repeated applications of A and
+A^T allocate only their measurement vectors; the solver keeps one per
+solve.
 
 Measurement sets are serialized in a small self-describing container
 ("MVM1"): a text header followed by little-endian binary payload, exact
@@ -30,7 +34,41 @@ import numpy as np
 from .rng import GAMMA, MASK64, normal_stream, u64_stream
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
+def _check_line(x: np.ndarray) -> None:
+    n = x.size
+    if x.dtype != np.float64 or x.ndim != 1 or n == 0 or n & (n - 1):
+        raise ValueError("fwht needs a 1-D float64 array of power-of-two length")
+
+
+def _plan(line: np.ndarray) -> tuple:
+    """(line, stage 0, later stages, copy-back) over a contiguous line.
+    The later stages alternate buffer -> line and line -> buffer, so two
+    view sets serve every order; an even count ends in the buffer."""
+    half, quarter = line.size // 2, line.size // 4
+    if half == 0:
+        return line, None, (), None
+    buf = np.empty(half, dtype=np.complex128)
+    w = line.view(np.complex128)
+    ping = (buf[0::2], buf[1::2], w[:quarter], w[quarter:])
+    pong = (w[0::2], w[1::2], buf[:quarter], buf[quarter:])
+    count = half.bit_length() - 1
+    steps = tuple(pong if k % 2 else ping for k in range(count))
+    copy = None if count % 2 else buf.view(np.float64)
+    return line, (line[0::2], line[1::2], buf.real, buf.imag), steps, copy
+
+
+def fwht_stages(line: np.ndarray) -> tuple:
+    """The views and pair buffer of an fwht call on `line`, a contiguous
+    1-D float64 array of power-of-two length, made once: fwht(line,
+    stages) transforms whatever line holds without making either.  The
+    stages keep the buffer (8 n bytes) alive and fit no other array."""
+    _check_line(line)
+    if not line.flags.c_contiguous:
+        raise ValueError("fwht_stages needs a contiguous line")
+    return _plan(line)
+
+
+def fwht(x: np.ndarray, stages: tuple | None = None) -> np.ndarray:
     """In-place fast Walsh-Hadamard transform in Sylvester (natural) order.
 
     x is a 1-D float64 array, possibly strided, of power-of-two length n;
@@ -44,25 +82,30 @@ def fwht(x: np.ndarray) -> np.ndarray:
     as the natural-order butterfly, bit for bit, signed zeros included.
     Keep it bit-identical: the solver's stop rule is sensitive to last-ulp
     changes in the transform.
+
+    `stages` from fwht_stages(x) skips the checks and reuses their views
+    and buffer, so a caller transforming one line many times (the solver,
+    once per solve) builds them once; without it each call makes its own.
+    Stages made for another array raise ValueError.
     """
-    n = x.size
-    if x.dtype != np.float64 or x.ndim != 1 or n == 0 or n & (n - 1):
-        raise ValueError("fwht needs a 1-D float64 array of power-of-two length")
-    if n == 1:
-        return x
-    half, quarter = n // 2, n // 4
-    w = np.ascontiguousarray(x)  # x itself unless x is a strided view
-    buf = np.empty(half, dtype=np.complex128)
-    np.add(x[0::2], x[1::2], out=buf.real)
-    np.subtract(x[0::2], x[1::2], out=buf.imag)
-    src, dst = buf, w.view(np.complex128)
-    for _ in range(half.bit_length() - 1):
-        a, b = src[0::2], src[1::2]
-        np.add(a, b, out=dst[:quarter])
-        np.subtract(a, b, out=dst[quarter:])
-        src, dst = dst, src
-    if src is buf or w is not x:
-        x[...] = src.view(np.float64)
+    if stages is None:
+        _check_line(x)
+        # on x itself unless x is a strided view
+        stages = _plan(np.ascontiguousarray(x))
+    elif stages[0] is not x:
+        raise ValueError("fwht stages were made for another array")
+    line, first, steps, copy = stages
+    if first is not None:
+        a, b, re, im = first
+        np.add(a, b, out=re)
+        np.subtract(a, b, out=im)
+        for a, b, lo, hi in steps:
+            np.add(a, b, out=lo)
+            np.subtract(a, b, out=hi)
+        if copy is not None:
+            line[...] = copy
+    if line is not x:
+        x[...] = line
     return x
 
 
@@ -174,6 +217,43 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
 # measuring
 # ---------------------------------------------------------------------------
 
+class Aperture:
+    """The measurement map of one spec on an order-length work line it
+    keeps, with the line's fwht stages, so that repeated applications
+    allocate nothing but their measurement vectors.
+
+    forward() measures the image written in `image`, the line's first
+    pixel_count entries; adjoint(v) returns A^T v as `image` itself.  Each
+    call overwrites the line, so a result in `image` is to be used before
+    the next call.
+    """
+
+    def __init__(self, spec: SensingSpec):
+        self.spec = spec
+        self.line = np.zeros(spec.order)
+        self.image = self.line[: spec.pixel_count]
+        self.stages = fwht_stages(self.line)
+
+    def forward(self) -> np.ndarray:
+        """z = A x for the flattened image x in `image`, as a new vector."""
+        spec, line = self.spec, self.line
+        if spec.pixel_count < spec.order:
+            line[spec.pixel_count:] = 0.0
+        total = self.image.sum()
+        z = fwht(line, self.stages)[spec.rows]
+        return np.multiply(np.add(z, total, out=z), 0.5, out=z)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """x = A^T v (flattened) for one value per selected row, in `image`."""
+        line = self.line
+        line.fill(0.0)
+        line[self.spec.rows] = v
+        total = v.sum()
+        fwht(line, self.stages)
+        out = self.image
+        return np.multiply(np.add(out, total, out=out), 0.5, out=out)
+
+
 def measure(image: np.ndarray, spec: SensingSpec) -> np.ndarray:
     """Apply the 0/1 aperture patterns to an image: z = A x."""
     x = np.asarray(image, dtype=np.float64).ravel()
@@ -181,11 +261,9 @@ def measure(image: np.ndarray, spec: SensingSpec) -> np.ndarray:
         raise ValueError(
             f"image has {x.size} pixels but spec expects {spec.pixel_count}"
         )
-    work = np.zeros(spec.order)
-    work[: x.size] = x
-    total = x.sum()
-    z = fwht(work)[spec.rows]
-    return np.multiply(np.add(z, total, out=z), 0.5, out=z)
+    aperture = Aperture(spec)
+    aperture.image[...] = x
+    return aperture.forward()
 
 
 def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
@@ -195,11 +273,7 @@ def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
         raise ValueError(
             f"got {v.size} values but spec selects {spec.count} rows"
         )
-    work = np.zeros(spec.order)
-    work[spec.rows] = v
-    total = v.sum()
-    out = fwht(work)[: spec.pixel_count]
-    return np.multiply(np.add(out, total, out=out), 0.5, out=out)
+    return Aperture(spec).adjoint(v)
 
 
 def add_noise(z: np.ndarray, sigma: float, seed: int) -> np.ndarray:

@@ -35,8 +35,9 @@ Across an iteration the engine keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
 x.  The shrink, both multiplier updates, the right-hand side and the CG
 vectors are updated in place; the normal operator forms one component's
-gradient or one block's measurements at a time and drops it once taken
-back through its adjoint, and CG writes H p over one list per solve.
+gradient, one difference direction at a time, or one block's
+measurements at a time and drops it once taken back through its adjoint,
+and CG writes H p over one list per solve.
 
 Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
@@ -44,11 +45,15 @@ all-False one (a joint strip is as wide as the parallax shift).  x, w, its
 multipliers, g, the right-hand side and the CG vectors are window-sized,
 and the projection, the dot products and the TV terms run on the window;
 the edge mask E zeroes every difference leaving it.  Only the data term
-needs canvases: each block's image is composed by adding the windows
-behind each operator into one zeroed canvas, and its adjoint is cropped
-back to each window.  A component whose window is the whole canvas is its
-own canvas, so single-view solves run the full-canvas operations
-unchanged.  The outputs are laid on zeroed canvases once, at return.
+needs canvases: each block's image is composed in the work line of the
+engine's one Aperture, which holds the line and the transform's views
+and buffer for the whole solve.  The windows behind each operator are
+added into one zeroed canvas, the padding past pixel_count is zeroed
+before each transform, and the adjoint, a view of the line, is cropped
+back to each window before the next transform.  A component whose
+window is the whole canvas is its own canvas, so single-view solves run
+the full-canvas operations unchanged.  The outputs are laid on zeroed
+canvases once, at return.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .geometry import (
     build_region_masks,
     build_shift,
 )
-from .sensing import SensingSpec, measure, measure_adjoint
+from .sensing import Aperture, SensingSpec
 
 
 class SolverError(RuntimeError):
@@ -125,12 +130,30 @@ class ReconstructionResult:
 # anisotropic TV pieces
 # ---------------------------------------------------------------------------
 
+# direction k's differences (k = 0 along x, 1 along y) run from the pixels
+# at _TAIL[k] to those at _HEAD[k]; the last column (row) has none
+_TAIL = ((slice(None), slice(None, -1)), (slice(None, -1), slice(None)))
+_HEAD = ((slice(None), slice(1, None)), (slice(1, None), slice(None)))
+
+
+def _diff(img: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Direction k's forward differences of img, written to out[_TAIL[k]]
+    and returned as that view; the rest of out is left alone."""
+    return np.subtract(img[_HEAD[k]], img[_TAIL[k]], out=out[_TAIL[k]])
+
+
+def _diff_adjoint(d: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Add D_k^T of the differences d (shaped as out[_TAIL[k]]) into out."""
+    out[_HEAD[k]] += d
+    out[_TAIL[k]] -= d
+
+
 def tv_grad(image: np.ndarray) -> np.ndarray:
     """Forward differences with replicate boundary, stacked as (2, h, w)."""
     img = np.asarray(image, dtype=np.float64)
     g = np.zeros((2,) + img.shape)
-    np.subtract(img[:, 1:], img[:, :-1], out=g[0][:, :-1])
-    np.subtract(img[1:, :], img[:-1, :], out=g[1][:-1, :])
+    for k in (0, 1):
+        _diff(img, k, g[k])
     return g
 
 
@@ -138,12 +161,8 @@ def tv_grad_adjoint(g: np.ndarray, out=None) -> np.ndarray:
     """D^T g, added into `out` when given (a zeroed `out` gets D^T g)."""
     if out is None:
         out = np.zeros(g.shape[1:])
-    gx = g[0]
-    gy = g[1]
-    out[:, 1:] += gx[:, :-1]
-    out[:, :-1] -= gx[:, :-1]
-    out[1:, :] += gy[:-1, :]
-    out[:-1, :] -= gy[:-1, :]
+    for k in (0, 1):
+        _diff_adjoint(g[k][_TAIL[k]], k, out)
     return out
 
 
@@ -255,7 +274,12 @@ class _Engine:
                       if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
         self.eps = [r / self.scale for r in self.radii]
         self.edges = [c.edge_mask() for c in comps]
-        self.masks = [None if c.mask is None else c.mask[c.window] for c in comps]
+        # each mask cropped to its window, None where it fills the window
+        # (every mask but an L-shaped strip's), so projecting is a no-op
+        self.masks = [None if c.mask is None or c.mask[c.window].all()
+                      else c.mask[c.window] for c in comps]
+        # one work line for every transform of the solve
+        self.aperture = Aperture(spec)
         # each block's terms grouped by operator (joint's shift maps c + d1),
         # the identity last, each with its transpose: op.T is a CSC view of
         # the CSR op that sums in the order a CSR copy of it would
@@ -270,37 +294,49 @@ class _Engine:
     # -- linear pieces ------------------------------------------------------
 
     def _compose(self, xl, cis, canvas=None):
-        """The canvas of components cis: each window added into `canvas`, or
-        into a new zeroed one; a lone full component is its own canvas."""
-        if canvas is None:
-            c = self.comps[cis[0]]
-            if len(cis) == 1 and c.full:
+        """The canvas of components cis, written over `canvas` or a new
+        one; a lone full component is its own canvas unless one is given."""
+        c = self.comps[cis[0]]
+        if len(cis) == 1 and c.full:
+            if canvas is None:
                 return xl[cis[0]]
+            canvas[...] = xl[cis[0]]
+            return canvas
+        if canvas is None:
             canvas = np.zeros(c.shape)
-        for ci in cis:
-            canvas[self.comps[ci].window] += xl[ci]
+        else:
+            canvas.fill(0.0)
+        self._add(xl, cis, canvas)
         return canvas
 
+    def _add(self, xl, cis, canvas):
+        for ci in cis:
+            canvas[self.comps[ci].window] += xl[ci]
+
     def _forward(self, xl, bi):
-        """A_bar applied to the composed image of block bi: each operator
-        maps its components' canvas, and the identity's components are
-        added last into the sum of those products."""
-        img = None
-        for op, _, cis in self.groups[bi]:
+        """A_bar applied to the composed image of block bi, composed in the
+        aperture's line: each operator maps its components' canvas, and the
+        identity's components are added last into the sum of those
+        products."""
+        img = self.aperture.image
+        for k, (op, _, cis) in enumerate(self.groups[bi]):
             if op is None:
-                shape = self.comps[cis[0]].shape
-                img = self._compose(xl, cis, None if img is None
-                                    else img.reshape(shape)).ravel()
+                canvas = img.reshape(self.comps[cis[0]].shape)
+                if k:
+                    self._add(xl, cis, canvas)
+                else:
+                    self._compose(xl, cis, canvas)
+            elif k:
+                img += op @ self._compose(xl, cis).ravel()
             else:
-                v = op @ self._compose(xl, cis).ravel()
-                img = v if img is None else img + v
-        z = measure(img, self.spec)
+                img[...] = op @ self._compose(xl, cis).ravel()
+        z = self.aperture.forward()
         z /= self.scale
         return z
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
-        g = measure_adjoint(r, self.spec)
+        g = self.aperture.adjoint(r)    # a view of the line
         g /= self.scale
         # op_t @ g once per operator; every product is taken before g, then
         # each is scaled in place and cropped to its components' windows
@@ -323,13 +359,22 @@ class _Engine:
     def _normal(self, xl, mu, g=None, fwd=None, out=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
         written over the list `out` or a new one.  Each E_c D x_c and
-        A_bar B_b x is dropped once taken back through its adjoint; a caller
-        that carries them for this x passes them as g, fwd."""
+        A_bar B_b x is dropped once taken back through its adjoint, and a
+        fresh E_c D x_c is formed one direction at a time; a caller that
+        carries them for this x passes them as g, fwd."""
         if out is None:
             out = [np.empty(c.window_shape) for c in self.comps]
         for ci, (x, h) in enumerate(zip(xl, out)):
             h.fill(0.0)
-            tv_grad_adjoint(self._grad(x, ci) if g is None else g[ci], out=h)
+            if g is not None:
+                tv_grad_adjoint(g[ci], out=h)
+            else:
+                d, e = np.empty(x.shape), self.edges[ci]
+                for k in (0, 1):
+                    dk = _diff(x, k, d)
+                    if e is not None:
+                        dk *= e[k][_TAIL[k]]
+                    _diff_adjoint(dk, k, h)
             h *= mu
         for bi in range(len(self.blocks)):
             self._backward(self._forward(xl, bi) if fwd is None else fwd[bi],
@@ -398,19 +443,19 @@ class _Engine:
                 r *= shrink
                 targets.append(np.add(self.zbar[bi], r, out=r))
 
-            # quadratic subproblem by projected conjugate gradients
+            # quadratic subproblem by projected conjugate gradients, from
+            # the warm-start residual rhs - H x: H x reuses g and fwd, which
+            # are dropped before the right-hand side is formed, and the
+            # residual is written over H x; rhs is dropped before CG runs
+            x_prev_norm = math.sqrt(self._dot(xl, xl))
+            r0 = self._normal(xl, mu, g, fwd)
+            g = fwd = None
             rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]
             for h in rhs:
                 h *= mu
             for bi in range(nb):
                 self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
             self._project(rhs)
-
-            x_prev_norm = math.sqrt(self._dot(xl, xl))
-            # the warm-start residual rhs - H x reuses g and fwd and is
-            # written over H x; g, fwd and rhs are dropped before CG runs
-            r0 = self._normal(xl, mu, g, fwd)
-            g = fwd = None
             for ci, h in enumerate(r0):
                 np.subtract(rhs[ci], h, out=h)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))

@@ -11,11 +11,13 @@ from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.rng import GAMMA, MASK64, SplitMix64, u64_stream
 from mvlci.scene import make_test_scene
 from mvlci.sensing import (
+    Aperture,
     MeasurementSet,
     SensingSpec,
     acquire,
     add_noise,
     fwht,
+    fwht_stages,
     measure,
     measure_adjoint,
     order_for_pixels,
@@ -163,25 +165,109 @@ def test_fwht_allocates_one_order_length_buffer(n):
     assert peak <= 8 * n + 4096
 
 
+@pytest.mark.parametrize("log2n", range(17))
+def test_fwht_with_stages_is_bytewise_a_one_off_call(log2n):
+    """One line and its stages, reused over fresh contents (spread values,
+    all exact signed zeros, spread values again), give every call the bytes
+    of a one-off fwht of the same contents."""
+    n = 1 << log2n
+    rng = np.random.default_rng(100 + log2n)
+    line = np.empty(n)
+    stages = fwht_stages(line)
+    for x in (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n),
+              rng.choice([0.0, -0.0], n),
+              rng.standard_normal(n)):
+        line[...] = x
+        assert fwht(line, stages) is line
+        assert np.array_equal(line.view(np.int64), fwht(x.copy()).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 13, 1 << 16])
+def test_fwht_with_stages_allocates_no_buffer(n):
+    """The stages hold the pair buffer and every view, so a call on their
+    line allocates nothing order-sized."""
+    line = np.random.default_rng(n).standard_normal(n)
+    stages = fwht_stages(line)
+    fwht(line, stages)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fwht(line, stages)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024
+
+
+def test_fwht_stages_fit_only_their_line():
+    line = np.zeros(16)
+    stages = fwht_stages(line)
+    for other in (np.zeros(16), line.copy(), line[:], line[::-1]):
+        before = other.copy()
+        with pytest.raises(ValueError, match="another array"):
+            fwht(other, stages)
+        assert np.array_equal(other, before)
+    # a line must be contiguous 1-D float64 of power-of-two length
+    for bad in (np.zeros(32)[::2], np.zeros(16, dtype=np.float32),
+                np.zeros(12), np.zeros((4, 4))):
+        with pytest.raises(ValueError):
+            fwht_stages(bad)
+
+
+@pytest.mark.parametrize("pixels", [64, 60])
+def test_aperture_reused_over_both_directions_matches_one_off_calls(pixels):
+    """An Aperture used for adjoints and forwards in turn gives the bytes
+    of one-off measure / measure_adjoint calls; at 60 of 64 pixels the
+    forward must zero the padding that each adjoint leaves behind."""
+    spec = make_spec(64, 0.5, 3, pixel_count=pixels)
+    aperture = Aperture(spec)
+    rng = np.random.default_rng(pixels)
+    for _ in range(3):
+        v = rng.standard_normal(spec.count)
+        x = rng.standard_normal(pixels)
+        got = aperture.adjoint(v)
+        assert got is aperture.image
+        assert got.tobytes() == measure_adjoint(v, spec).tobytes()
+        aperture.image[...] = x
+        assert aperture.forward().tobytes() == measure(x, spec).tobytes()
+
+
 def test_joint_solve_is_bit_identical_with_the_butterfly(monkeypatch):
     """The stop rule turns a last-ulp change in the transform into a
     different stopping iteration, so a solve that crosses the penalty
-    doubling at iteration 50 must not move at all."""
+    doubling at iteration 50 must not move at all.  Both solves count their
+    sensing.fwht calls and their operator applications, one call each, so
+    a transform that goes around sensing.fwht cannot pass unseen."""
     size = 64
     masks = build_region_masks(3.5, 0.0, size, size)
     shift = build_shift(3.5, 0.0, size, size)
     v1 = make_test_scene("blocks", size, size, 7).base
     v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
     spec = make_spec(4096, 0.125, 42)
+    z1, z2 = measure(v1, spec), measure(v2, spec)
+    calls, applications = [], []
+    for name in ("forward", "adjoint"):
+        def counted_apply(self, *args, apply=getattr(Aperture, name)):
+            applications[-1] += 1
+            return apply(self, *args)
 
-    def solve():
-        return reconstruct_joint(measure(v1, spec), measure(v2, spec), spec,
-                                 size, size, shift, masks,
+        monkeypatch.setattr(Aperture, name, counted_apply)
+
+    def solve(transform):
+        calls.append(0)
+        applications.append(0)
+
+        def counted(x, stages=None):
+            calls[-1] += 1
+            return transform(x, stages)
+
+        monkeypatch.setattr(sensing, "fwht", counted)
+        return reconstruct_joint(z1, z2, spec, size, size, shift, masks,
                                  SolverConfig(sigma=1.0))
 
-    fast = solve()
-    monkeypatch.setattr(sensing, "fwht", butterfly_fwht)
-    ref = solve()
+    fast = solve(sensing.fwht)
+    ref = solve(lambda x, stages: butterfly_fwht(x))
+    assert calls == applications and calls[0] == calls[1] > 0
     assert fast.iterations == ref.iterations > 50
     assert fast.converged == ref.converged
     for name in ("common", "disjoint1", "disjoint2", "view1", "view2",

@@ -399,6 +399,60 @@ def test_edge_mask_excludes_support_boundary():
         assert not want.any()
 
 
+@pytest.mark.parametrize("mode,dx,dy,projected", [
+    ("joint", 3.5, 0.0, []), ("joint", -2.5, -1.25, [1, 2]),
+    ("joint", 3.0, -2.0, [1, 2]), ("joint", 0.0, 0.0, []),
+    ("superres", 3.5, 0.0, []),
+])
+def test_projection_keeps_only_masks_that_leave_part_of_their_window(
+        monkeypatch, mode, dx, dy, projected):
+    """The engine keeps a cropped mask only where it is not all True on its
+    window, the L-shaped strips of a shift along both axes; every other
+    component skips the multiply, which could change nothing.  Projecting
+    ones leaves each component's mask on its window either way."""
+    engine = built_engine(monkeypatch, normal_case(mode, dx, dy))
+    assert [ci for ci, m in enumerate(engine.masks) if m is not None] == projected
+    xl = [np.ones(c.window_shape) for c in engine.comps]
+    engine._project(xl)
+    for c, x in zip(engine.comps, xl):
+        want = np.ones(c.window_shape) if c.mask is None else c.mask[c.window]
+        assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("mode", ["single", "joint"])
+def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, mode):
+    """At 256x256 (order 65536) a forward and an adjoint of block 0 compose
+    the image in the engine's work line and take the adjoint as a view of
+    it: together they allocate the measurement vector and no order-length
+    array.  Joint's common window is strided, and numpy stages each add
+    into or out of it through iteration buffers of getbufsize() elements
+    (two at most, 128 KiB), still a quarter of one order-length array."""
+    size = 256
+    spec = make_spec(65536, 0.125, 42, pixel_count=size * size)
+    z = np.zeros(spec.count)
+    if mode == "single":
+        solve = lambda: reconstruct_single(z, spec, size, size)
+    else:
+        masks = build_region_masks(3.5, 0.0, size, size)
+        shift = build_shift(3.5, 0.0, size, size)
+        solve = lambda: reconstruct_joint(z, z, spec, size, size, shift, masks)
+    engine = built_engine(monkeypatch, solve)
+    rng = np.random.default_rng(1)
+    xl = [rng.standard_normal(c.window_shape) for c in engine.comps]
+    out = [np.zeros(c.window_shape) for c in engine.comps]
+    engine._backward(engine._forward(xl, 0), 0, out, 1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fwd = engine._forward(xl, 0)
+        engine._backward(fwd, 0, out, PENALTY)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    strided = 0 if mode == "single" else 2 * 8 * np.getbufsize()
+    assert peak <= fwd.nbytes + strided + 4096
+
+
 @pytest.mark.parametrize("mode", ["joint", "superres"])
 def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
     """A two-iteration 64x64 solve allocates at most 6 (joint) or 10

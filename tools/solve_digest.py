@@ -26,8 +26,9 @@ the default SolverConfig and with max_iters=60, the same three at
 256x256, a seven-vector stacked single solve at noise 0.02, two 32x32
 joint solves (20 iterations) at the shifts (-2.5, -1.25) and (3, -2)
 and one at (0, 0), whose all-False disjoint masks have empty windows,
-single and joint at 60x60, whose 3600 pixels are zero-padded to order
-4096 (the one case where the operator norm is approximate),
+the three modes at 60x60, whose 3600 pixels are zero-padded to order
+4096 (the one case where the operator norm is approximate, and where
+each forward zeroes the padding its last adjoint left),
 fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
 noise 0.05, then `--sensor 1 --verbose`, `--sensor all`, joint and
 superres, all at the default --sigma), the rows select_rows picks at
@@ -279,7 +280,7 @@ def sections(reduced: bool = False) -> list:
         _stacked(d.part("stacked"), 64, 120)
         _shifted_joints(d.part("shifted-joints"))
         _colocated_joint(d.part("colocated-joint"))
-        _single_joint(d, 60, SolverConfig(), "padded")
+        _solves(d, 60, SolverConfig(), "padded")
         _studies(d)
         _cli(d, 80)
         _rows(d.part("rows"))

@@ -65,6 +65,9 @@ def cmd_scene(args) -> int:
         # horizontal scale; the margin covers the second sensor's shift
         if not math.isfinite(args.dx):
             raise _UsageError(f"--dx must be finite, got {args.dx}")
+        if 2.0 * abs(args.dx) >= args.width:
+            raise _UsageError(f"--dx {args.dx} leaves no room for two views: "
+                              f"2*|dx| must be below the width {args.width}")
         pad = math.ceil(2.0 * abs(args.dx))
         aperture_w = (args.width - 2 * pad) // 2
         aperture_h = args.height

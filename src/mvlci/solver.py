@@ -37,23 +37,27 @@ x.  The shrink, both multiplier updates, the right-hand side and the CG
 vectors are updated in place; the normal operator forms one component's
 gradient, one difference direction at a time, or one block's
 measurements at a time and drops it once taken back through its adjoint,
-and CG writes H p over one list per solve.
+and CG writes H p over one array per solve.
 
 Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
-all-False one (a joint strip is as wide as the parallax shift).  x, w, its
-multipliers, g, the right-hand side and the CG vectors are window-sized,
-and the projection, the dot products and the TV terms run on the window;
-the edge mask E zeroes every difference leaving it.  Only the data term
-needs canvases: each block's image is composed in the work line of the
-engine's one Aperture, which holds the line and the transform's views
-and buffer for the whole solve.  The windows behind each operator are
-added into one zeroed canvas, the padding past pixel_count is zeroed
-before each transform, and the adjoint, a view of the line, is cropped
-back to each window before the next transform.  A component whose
-window is the whole canvas is its own canvas, so single-view solves run
-the full-canvas operations unchanged.  The outputs are laid on zeroed
-canvases once, at return.
+all-False one (a joint strip is as wide as the parallax shift).  x, the
+right-hand side, H x and the CG vectors are each one contiguous array
+laying every window end to end, used through a list of window views (a
+_Vec): an update, fill or scale is one call, while the dot products and
+the change in x sum window by window.  w, its multipliers and g are one
+(2, h, w) array per component.  The projection and the TV terms run on
+the window, the differences over its flattened rows, and the edge mask E
+zeroes every difference leaving it.  Only the data term needs canvases:
+each block's image is composed in the work line of the engine's one
+Aperture, which holds the line and the transform's views and buffer for
+the whole solve.  The windows behind each operator are added into one
+zeroed canvas, the padding past pixel_count is zeroed before each
+transform, and the adjoint, a view of the line, is cropped back to each
+window before the next transform.  A component whose window is the whole
+canvas is its own canvas, so single-view solves run the full-canvas
+operations unchanged.  The outputs are laid on zeroed canvases once, at
+return.
 """
 
 from __future__ import annotations
@@ -130,40 +134,56 @@ class ReconstructionResult:
 # anisotropic TV pieces
 # ---------------------------------------------------------------------------
 
-# direction k's differences (k = 0 along x, 1 along y) run from the pixels
-# at _TAIL[k] to those at _HEAD[k]; the last column (row) has none
-_TAIL = ((slice(None), slice(None, -1)), (slice(None, -1), slice(None)))
-_HEAD = ((slice(None), slice(1, None)), (slice(1, None), slice(None)))
-
+# Direction k's differences (k = 0 along x, 1 along y) run over an image's
+# flattened rows, pixel p to p + s with s = 1 along x and the row length
+# along y, so each runs on contiguous memory; the last column (row) has none.
 
 def _diff(img: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """Direction k's forward differences of img, written to out[_TAIL[k]]
-    and returned as that view; the rest of out is left alone."""
-    return np.subtract(img[_HEAD[k]], img[_TAIL[k]], out=out[_TAIL[k]])
+    """Direction k's differences of the C-contiguous img, written to the
+    head of out's flat form (out C-contiguous and shaped as img) and
+    returned as that flat view; along x the caller zeroes the row ends
+    (an edge mask, False on the last column, does)."""
+    s = (1, img.shape[1])[k]
+    a = img.reshape(-1)
+    return np.subtract(a[s:], a[:a.size - s], out=out.reshape(-1)[:a.size - s])
 
 
 def _diff_adjoint(d: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Add D_k^T of the differences d (shaped as out[_TAIL[k]]) into out."""
-    out[_HEAD[k]] += d
-    out[_TAIL[k]] -= d
+    """Add D_k^T d into the C-contiguous out, from _diff's flat view or the
+    flat head of an array shaped as out.  Along x, d's row ends must be
+    zeros and out zero beforehand: the zeros then land as +0.0 on the next
+    row's start and leave the row's end as the per-row form leaves them."""
+    s = (1, out.shape[1])[k]
+    o = out.reshape(-1)
+    d = d.reshape(-1)[:o.size - s]
+    o[s:] += d
+    o[:d.size] -= d
+
+
+def _tv_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add D^T g into the zeroed C-contiguous out and return it; g's row
+    ends along x are zeros, as tv_grad leaves them."""
+    for k in (0, 1):
+        _diff_adjoint(g[k], k, out)
+    return out
 
 
 def tv_grad(image: np.ndarray) -> np.ndarray:
     """Forward differences with replicate boundary, stacked as (2, h, w)."""
-    img = np.asarray(image, dtype=np.float64)
+    img = np.ascontiguousarray(image, dtype=np.float64)
     g = np.zeros((2,) + img.shape)
     for k in (0, 1):
         _diff(img, k, g[k])
+    g[0][:, -1:] = 0.0
     return g
 
 
-def tv_grad_adjoint(g: np.ndarray, out=None) -> np.ndarray:
-    """D^T g, added into `out` when given (a zeroed `out` gets D^T g)."""
-    if out is None:
-        out = np.zeros(g.shape[1:])
-    for k in (0, 1):
-        _diff_adjoint(g[k][_TAIL[k]], k, out)
-    return out
+def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
+    """D^T g; the entries that D leaves empty, g[0][:, -1] and g[1][-1],
+    are ignored."""
+    g = np.array(g, dtype=np.float64, order="C")
+    g[0][:, -1:] = 0.0
+    return _tv_adjoint(g, np.zeros(g.shape[1:]))
 
 
 def tv_shrink(values: np.ndarray, threshold: float, out=None) -> np.ndarray:
@@ -240,6 +260,11 @@ class _Comp:
         return e
 
 
+class _Vec(list):
+    """Component window arrays that are views of one contiguous array, held
+    as .flat, which lays the windows end to end."""
+
+
 @dataclass
 class _Block:
     z: np.ndarray             # raw measurement vector
@@ -274,6 +299,10 @@ class _Engine:
                       if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
         self.eps = [r / self.scale for r in self.radii]
         self.edges = [c.edge_mask() for c in comps]
+        # each window's place in a _Vec's array
+        ends = np.cumsum([0] + [math.prod(c.window_shape) for c in comps]).tolist()
+        self.spans = list(zip(ends, ends[1:], [c.window_shape for c in comps]))
+        self.size = ends[-1]
         # each mask cropped to its window, None where it fills the window
         # (every mask but an L-shaped strip's), so projecting is a no-op
         self.masks = [None if c.mask is None or c.mask[c.window].all()
@@ -292,6 +321,14 @@ class _Engine:
                                 for op, cis in ops.values()])
 
     # -- linear pieces ------------------------------------------------------
+
+    def _vec(self, flat=None):
+        """The window views of `flat` (a new array by default) as a _Vec."""
+        if flat is None:
+            flat = np.empty(self.size)
+        v = _Vec(flat[a:b].reshape(shape) for a, b, shape in self.spans)
+        v.flat = flat
+        return v
 
     def _compose(self, xl, cis, canvas=None):
         """The canvas of components cis, written over `canvas` or a new
@@ -358,24 +395,26 @@ class _Engine:
 
     def _normal(self, xl, mu, g=None, fwd=None, out=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
-        written over the list `out` or a new one.  Each E_c D x_c and
+        written over the _Vec `out` or a new one.  Each E_c D x_c and
         A_bar B_b x is dropped once taken back through its adjoint, and a
         fresh E_c D x_c is formed one direction at a time; a caller that
         carries them for this x passes them as g, fwd."""
         if out is None:
-            out = [np.empty(c.window_shape) for c in self.comps]
+            out = self._vec()
+        out.flat.fill(0.0)
         for ci, (x, h) in enumerate(zip(xl, out)):
-            h.fill(0.0)
             if g is not None:
-                tv_grad_adjoint(g[ci], out=h)
-            else:
-                d, e = np.empty(x.shape), self.edges[ci]
-                for k in (0, 1):
-                    dk = _diff(x, k, d)
-                    if e is not None:
-                        dk *= e[k][_TAIL[k]]
-                    _diff_adjoint(dk, k, h)
-            h *= mu
+                _tv_adjoint(g[ci], h)
+                continue
+            d, e = np.empty(x.shape), self.edges[ci]
+            for k in (0, 1):
+                dk = _diff(x, k, d)
+                if e is not None:
+                    dk *= e[k].reshape(-1)[:dk.size]
+                elif not k:
+                    d[:, -1:] = 0.0
+                _diff_adjoint(dk, k, h)
+        out.flat *= mu
         for bi in range(len(self.blocks)):
             self._backward(self._forward(xl, bi) if fwd is None else fwd[bi],
                            bi, out, mu)
@@ -403,11 +442,10 @@ class _Engine:
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
         # the flat (mean-intensity) part at image scale; _backward already
         # divides by scale^2 = ||A||^2 / order, so correct by 1/order
-        xl = [np.zeros(c.window_shape) for c in self.comps]
+        xl = self._vec(np.zeros(self.size))
         for bi in range(nb):
             self._backward(self.zbar[bi], bi, xl, 1.0)
-        for ci in range(len(self.comps)):
-            xl[ci] /= float(self.spec.order)
+        xl.flat /= float(self.spec.order)
         self._project(xl)
 
         # g = E D x and fwd = A_bar B x are taken once per new x and carried
@@ -450,21 +488,21 @@ class _Engine:
             x_prev_norm = math.sqrt(self._dot(xl, xl))
             r0 = self._normal(xl, mu, g, fwd)
             g = fwd = None
-            rhs = [tv_grad_adjoint(w - lc / mu) for w, lc in zip(wl, ll)]
-            for h in rhs:
-                h *= mu
+            rhs = self._vec(np.zeros(self.size))
+            for ci in range(len(rhs)):    # no loop name left holding rhs
+                _tv_adjoint(wl[ci] - ll[ci] / mu, rhs[ci])
+            rhs.flat *= mu
             for bi in range(nb):
                 self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
             self._project(rhs)
-            for ci, h in enumerate(r0):
-                np.subtract(rhs[ci], h, out=h)
+            np.subtract(rhs.flat, r0.flat, out=r0.flat)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
             rhs = None
             x_old = xl    # _cg iterates on copies
             xl = self._cg(xl, r0, target, mu)
             self._project(xl)
 
-            if not all(np.all(np.isfinite(x)) for x in xl):
+            if not np.isfinite(xl.flat).all():
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
             # dual updates (wl is scratch until the next shrink)
@@ -511,10 +549,9 @@ class _Engine:
     def _cg(self, x0, r0, target, mu):
         """Conjugate gradients for H x = rhs at penalty mu from x0 until the
         residual norm is at most `target`; r0 = rhs - H x0 is updated in place."""
-        xl = [x.copy() for x in x0]
-        rl = r0
-        pl = [r.copy() for r in rl]
-        hp = [np.empty_like(p) for p in pl]    # H p, rewritten every step
+        xl, rl = self._vec(x0.flat.copy()), r0
+        pl, hp = self._vec(r0.flat.copy()), self._vec()    # hp: H p, every step
+        x, r, p, h = xl.flat, rl.flat, pl.flat, hp.flat
         rs = self._dot(rl, rl)
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
@@ -524,15 +561,13 @@ class _Engine:
             if denom <= 0.0:
                 break
             alpha = rs / denom
-            for x, r, p, h in zip(xl, rl, pl, hp):
-                r -= np.multiply(alpha, h, out=h)
-                x += np.multiply(alpha, p, out=h)
+            r -= np.multiply(alpha, h, out=h)
+            x += np.multiply(alpha, p, out=h)
             rs_new = self._dot(rl, rl)
             ratio = rs_new / rs
             rs = rs_new
-            for r, p in zip(rl, pl):
-                p *= ratio
-                p += r
+            p *= ratio
+            p += r
         return xl
 
 

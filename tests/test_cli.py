@@ -120,6 +120,20 @@ def test_scene_views_need_a_finite_offset(tmp_path, capsys, dx):
     assert capsys.readouterr().err.startswith("mvlci:")
 
 
+@pytest.mark.parametrize("dx", ["1e308", "-1e308", "1e300", "32"])
+def test_scene_views_reject_an_offset_that_leaves_no_room(tmp_path, capsys, dx):
+    """2|dx| at or past the scene width leaves no room for two views: a
+    usage error with a short message, not an overflow or a width hundreds
+    of digits long, and nothing written."""
+    out = tmp_path / "out" / "scene.pgm"
+    assert main(["scene", "--width", "64", "--height", "16", "--views",
+                 f"--dx={dx}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mvlci:") and "no room for two views" in err
+    assert len(err) < 200
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("flags,code", [
     (["--width", "40"], 2),                 # no 2x view window
     (["--width", "64", "--dx", "nan"], 2),  # non-finite offset

@@ -108,6 +108,71 @@ def test_tv_shrink_is_bytewise_the_closed_form(threshold):
     assert v.tobytes() == want
 
 
+def loop_tv_grad(x):
+    """D x pixel by pixel: each difference to the next pixel along x (k = 0)
+    or y (k = 1), +0.0 where there is none."""
+    h, w = x.shape
+    g = np.zeros((2, h, w))
+    for i in range(h):
+        for j in range(w):
+            if j < w - 1:
+                g[0, i, j] = x[i, j + 1] - x[i, j]
+            if i < h - 1:
+                g[1, i, j] = x[i + 1, j] - x[i, j]
+    return g
+
+
+def loop_tv_grad_adjoint(g):
+    """D^T g pixel by pixel, from +0.0, in the order of the array form: the
+    x-difference ending at the pixel, the one starting there, then the same
+    along y.  g[0][:, -1] and g[1][-1] are never read."""
+    h, w = g.shape[1:]
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            v = out[i, j]
+            if j > 0:
+                v += g[0, i, j - 1]
+            if j < w - 1:
+                v -= g[0, i, j]
+            if i > 0:
+                v += g[1, i - 1, j]
+            if i < h - 1:
+                v -= g[1, i, j]
+            out[i, j] = v
+    return out
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1), (0, 0), (0, 5),
+                                   (5, 0)])
+def test_tv_pieces_are_bytewise_the_pixel_loops(shape):
+    """tv_grad and tv_grad_adjoint match the loops byte for byte, signed
+    zeros included, on one-row, one-column and empty shapes and on
+    non-contiguous views; the adjoint leaves NaN in the entries D never
+    writes unread, and neither function writes to its input."""
+    rng = np.random.default_rng(6)
+    x = signed_zeros(rng, shape)
+    g = signed_zeros(rng, (2,) + shape)
+    wide = signed_zeros(rng, (shape[0], 2 * shape[1]))
+    gwide = signed_zeros(rng, (2, shape[0], 2 * shape[1]))
+    tall = signed_zeros(rng, shape[::-1])
+    gtall = signed_zeros(rng, (2,) + shape[::-1])
+    nan = g.copy()
+    nan[0][:, -1:] = np.nan
+    nan[1][-1:] = np.nan
+    for img in (x, wide[:, ::2], tall.T):
+        before = img.tobytes()
+        assert tv_grad(img).tobytes() == loop_tv_grad(img).tobytes()
+        assert img.tobytes() == before
+    for gi in (g, gwide[:, :, ::2], gtall.transpose(0, 2, 1), nan):
+        before = gi.tobytes()
+        got = tv_grad_adjoint(gi)
+        assert got.shape == shape
+        assert got.tobytes() == loop_tv_grad_adjoint(gi).tobytes()
+        assert not np.isnan(got).any()
+        assert gi.tobytes() == before
+
+
 def test_epsilon_for_noise_closed_form():
     z = np.array([1.0, -3.0, 2.0, -2.0])
     assert abs(epsilon_for_noise(0.1, z) - 0.1 * 2.0 * 2.0) < 1e-15
@@ -355,7 +420,8 @@ def test_streamed_normal_is_bytewise_the_assembled_one(monkeypatch, mode, dx, dy
             off[win] = 0.0
             assert not off.any()
         assert [a.tobytes() for a in fwd] == [a.tobytes() for a in fl]
-        dirty = [np.full(c.window_shape, np.nan) for c in engine.comps]
+        dirty = engine._vec()
+        dirty.flat.fill(np.nan)
         engine._normal(xl, mu, out=dirty)
         for got in (engine._normal(xl, mu), engine._normal(xl, mu, g, fwd), dirty):
             assert [a.shape for a in got] == [c.window_shape for c in engine.comps]
@@ -397,6 +463,43 @@ def test_edge_mask_excludes_support_boundary():
         assert np.array_equal(c.edge_mask(), want[win] == 1.0)
         want[win] = 0.0
         assert not want.any()
+
+
+def test_cg_vectors_are_window_views_of_one_contiguous_array(monkeypatch):
+    """In a joint solve, x, the warm-start residual r, the direction p and
+    H p are each one contiguous float64 array that lays every component's
+    window end to end, in component order, and the list CG indexes by
+    component is views of it: writing the array writes every window."""
+    size = 16
+    spec = make_spec(256, 0.5, 11, pixel_count=size * size)
+    v = np.random.default_rng(2).uniform(size=(size, size))
+    masks = build_region_masks(3.5, 0.0, size, size)
+    shift = build_shift(3.5, 0.0, size, size)
+    seen = {}
+    real_cg, real_normal = _Engine._cg, _Engine._normal
+
+    def cg(self, x0, r0, target, mu):
+        seen.update(x=(self, x0), r=(self, r0))
+        return real_cg(self, x0, r0, target, mu)
+
+    def normal(self, xl, mu, g=None, fwd=None, out=None):
+        if out is not None:
+            seen.update(p=(self, xl), hp=(self, out))
+        return real_normal(self, xl, mu, g, fwd, out)
+
+    monkeypatch.setattr(_Engine, "_cg", cg)
+    monkeypatch.setattr(_Engine, "_normal", normal)
+    reconstruct_joint(measure(v, spec), measure(apply_shift(shift, v), spec), spec,
+                      size, size, shift, masks, SolverConfig(max_iters=1))
+    assert sorted(seen) == ["hp", "p", "r", "x"]
+    for engine, vec in seen.values():
+        flat = vec.flat
+        assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert [a.shape for a in vec] == [c.window_shape for c in engine.comps]
+        assert all(a.size for a in vec)
+        flat[...] = np.arange(flat.size)
+        assert np.concatenate([a.ravel() for a in vec]).tobytes() == \
+            np.arange(flat.size, dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("mode,dx,dy,projected", [
@@ -459,7 +562,7 @@ def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
     (superres) times the bytes of its unknowns at its peak (tracemalloc),
     inputs excluded.  Every per-component array lives on its support
     window, so the two border strips cost their 4 columns, not two
-    canvases: 5.6x and 9.6x measured, 8.7x and 11.9x with full-canvas
+    canvases: 5.6x and 9.2x measured, 8.7x and 11.9x with full-canvas
     strips."""
     bound = {"joint": 6, "superres": 10}[mode]
     size = 64

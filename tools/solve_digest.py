@@ -16,7 +16,7 @@ sections are each `_solves` size/config per mode (`64.single`,
 shows it; the stacked solve, the shifted joints, the co-located joint,
 the padded solves per mode, fig3/fig4 at each noise level, the CLI's
 scene and measure files, each CLI reconstruct run, the rows, the
-operators, and one `epsilon.<section>` per section of solves: the
+operators, the TV pieces, and one `epsilon.<section>` per section of solves: the
 per-block fidelity radii of its results, kept apart so the other
 sections compare like for like with a tree whose results lack that
 field, and per section so adding a solve moves no other section.
@@ -37,7 +37,9 @@ the CSR arrays of six sparse operators:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
 with dy != 0 and a negative fractional shift, and the 64x64 superres
-pair-average sampling; 10-20 s on two cores.
+pair-average sampling, and (section `tv`) tv_grad, tv_grad_adjoint and
+tv_shrink on one-row, one-column, empty, strided and transposed inputs
+with zeros of both signs; 10-20 s on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
 CLI, each for at most 20 iterations (a fraction of a second; the test
 suite runs it).
@@ -67,6 +69,9 @@ from mvlci.solver import (
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
+    tv_grad,
+    tv_grad_adjoint,
+    tv_shrink,
 )
 
 DX = 3.5
@@ -265,6 +270,36 @@ def _operators(h) -> None:
             _put(h, f"{name}.{part}", getattr(mat, part))
 
 
+def _signed(rng, shape) -> np.ndarray:
+    """Normal values with about a fifth -0.0 and a tenth +0.0."""
+    v = rng.standard_normal(shape)
+    u = rng.uniform(size=shape)
+    v[u < 0.2] = -0.0
+    v[(u >= 0.2) & (u < 0.3)] = 0.0
+    return v
+
+
+def _tv(h) -> None:
+    """tv_grad, tv_grad_adjoint and tv_shrink on inputs with zeros of both
+    signs: one-row, one-column and empty shapes, strided and transposed
+    views, and gradients with NaN in the entries D leaves empty."""
+    rng = np.random.default_rng(11)
+    for shape in ((5, 7), (1, 6), (6, 1), (0, 0), (0, 5), (64, 4)):
+        x = _signed(rng, (shape[0], 2 * shape[1]))
+        g = _signed(rng, (2, shape[0], 2 * shape[1]))
+        nan = g[:, :, ::2].copy()
+        nan[0][:, -1:] = np.nan
+        nan[1][-1:] = np.nan
+        for name, img in (("strided", x[:, ::2]), ("copy", x[:, ::2].copy()),
+                          ("transposed", x[:, ::2].T)):
+            _put(h, f"tv_grad.{shape}.{name}", tv_grad(img))
+        for name, gi in (("strided", g[:, :, ::2]), ("nan", nan),
+                         ("transposed", g[:, :, ::2].transpose(0, 2, 1))):
+            _put(h, f"tv_grad_adjoint.{shape}.{name}", tv_grad_adjoint(gi))
+        for t in (0.0, 0.5):
+            _put(h, f"tv_shrink.{shape}.{t}", tv_shrink(g, t))
+
+
 def sections(reduced: bool = False) -> list:
     """[(section, hex SHA-256), ...] in the order first written, then
     ("total", hex SHA-256 over every covered output in that order)."""
@@ -285,6 +320,7 @@ def sections(reduced: bool = False) -> list:
         _cli(d, 80)
         _rows(d.part("rows"))
         _operators(d.part("operators"))
+        _tv(d.part("tv"))
     return ([(name, h.hexdigest()) for name, h in d.sections.items()]
             + [("total", d.total.hexdigest())])
 

@@ -142,22 +142,24 @@ def cmd_reconstruct(args) -> int:
     single = args.mode == "single"
     for flag, value, used in (("--sensor", args.sensor, single),
                               ("--dx", args.dx, not single),
-                              ("--dy", args.dy, not single)):
+                              ("--dy", args.dy, not single),
+                              ("--sigma", args.sigma, not single)):
         if value is not None and not used:
             raise _UsageError(f"{args.mode} mode does not take {flag}")
     sensor = "1" if args.sensor is None else args.sensor
     dx = 3.5 if args.dx is None else args.dx
     dy = 0.0 if args.dy is None else args.dy
+    sigma = SolverConfig.sigma if args.sigma is None else args.sigma
     for flag, value in (("--dx", dx), ("--dy", dy)):
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value}")
-    mode_flags = {"sensor": sensor} if single else {"dx": repr(dx), "dy": repr(dy)}
+    mode_flags = ({"sensor": sensor} if single else
+                  {"dx": repr(dx), "dy": repr(dy), "sigma": repr(sigma)})
     ms = read_mvm(args.meas)
     cfg = SolverConfig(max_iters=args.max_iters, rel_tol=args.tol,
-                       sigma=args.sigma, noise_sigma=ms.noise_sigma)
-    written = {}
+                       sigma=sigma, noise_sigma=ms.noise_sigma)
 
-    if args.mode == "single":
+    if single:
         if sensor == "all":
             # stacked solve over every sensor's vector (useful when the
             # sensors are co-located and the vectors constrain one image)
@@ -168,33 +170,35 @@ def cmd_reconstruct(args) -> int:
                 raise _UsageError(f"sensor {idx} not in measurement file")
             z = ms.values[idx - 1]
         res = reconstruct_single(z, ms.spec, ms.width, ms.height, cfg)
-        written["recon"] = res.image
-    elif args.mode == "joint":
+        written = {"recon": res.image}
+    else:
         if ms.sensor_count < 2:
-            raise _UsageError("joint mode needs a two-sensor measurement file")
-        shift = build_shift(dx, dy, ms.width, ms.height)
+            raise _UsageError(f"{args.mode} mode needs a two-sensor measurement file")
+        if args.mode == "superres":
+            if dy != 0.0:
+                raise _UsageError(
+                    f"superres mode models a horizontal offset only; got --dy {dy}")
+            try:
+                check_fractional_dx(dx)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from None
         masks = build_region_masks(dx, dy, ms.width, ms.height)
-        res = reconstruct_joint(ms.values[0], ms.values[1], ms.spec,
-                                ms.width, ms.height, shift, masks, cfg)
-        written = {"common": res.common, "disjoint1": res.disjoint1,
-                   "disjoint2": res.disjoint2, "view1": res.view1,
-                   "view2": res.view2}
-    elif args.mode == "superres":
-        if ms.sensor_count < 2:
-            raise _UsageError("superres mode needs a two-sensor measurement file")
-        if dy != 0.0:
+        if not masks.common.any():
             raise _UsageError(
-                f"superres mode models a horizontal offset only; got --dy {dy}")
-        try:
-            check_fractional_dx(dx)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        res = reconstruct_superres(ms.values[0], ms.values[1], ms.spec,
-                                   ms.width, ms.height, dx, cfg)
-        written = {"superres": res.image, "disjoint1": res.disjoint1,
-                   "disjoint2": res.disjoint2}
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown mode {args.mode}")
+                f"offset ({dx}, {dy}) leaves no region that both sensors see "
+                f"on the {ms.width}x{ms.height} grid")
+        if args.mode == "joint":
+            shift = build_shift(dx, dy, ms.width, ms.height)
+            res = reconstruct_joint(ms.values[0], ms.values[1], ms.spec,
+                                    ms.width, ms.height, shift, masks, cfg)
+            written = {"common": res.common, "disjoint1": res.disjoint1,
+                       "disjoint2": res.disjoint2, "view1": res.view1,
+                       "view2": res.view2}
+        else:
+            res = reconstruct_superres(ms.values[0], ms.values[1], ms.spec,
+                                       ms.width, ms.height, dx, cfg)
+            written = {"superres": res.image, "disjoint1": res.disjoint1,
+                       "disjoint2": res.disjoint2}
     if args.verbose:
         for t, (obj, res_rel) in enumerate(
                 zip(res.objective_history, res.residual_history), start=1):
@@ -208,7 +212,7 @@ def cmd_reconstruct(args) -> int:
     for name, img in written.items():
         write_pgm(outdir / f"{name}.pgm", clamp01(img), maxval=65535)
     entries = _manifest_base("reconstruct", {
-        "meas": args.meas, "mode": args.mode, **mode_flags, "sigma": repr(args.sigma),
+        "meas": args.meas, "mode": args.mode, **mode_flags,
         "tol": repr(args.tol), "max_iters": args.max_iters,
         "epsilon": ",".join(repr(e) for e in res.epsilon), "out": outdir,
         "iterations": res.iterations, "converged": int(res.converged),
@@ -235,15 +239,9 @@ def _parse_sensor(text: str) -> int:
 def cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     outdir = Path(args.out)
-    if args.which == "fig3":
-        report = run_measurement_increase(scene_seed=args.scene_seed,
-                                          meas_seed=args.meas_seed,
-                                          outdir=outdir)
-    elif args.which == "fig4":
-        report = run_superres(scene_seed=args.scene_seed,
-                              meas_seed=args.meas_seed, outdir=outdir)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown experiment {args.which!r}")
+    run = run_measurement_increase if args.which == "fig3" else run_superres
+    report = run(scene_seed=args.scene_seed, meas_seed=args.meas_seed,
+                 outdir=outdir)
     entries = _manifest_base("experiment", {
         "which": args.which, "scene_seed": args.scene_seed,
         "meas_seed": args.meas_seed, "out": outdir,
@@ -301,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 1), or 'all' for a stacked solve")
     p.add_argument("--dx", type=float, help="joint/superres (default 3.5)")
     p.add_argument("--dy", type=float, help="joint/superres (default 0)")
-    p.add_argument("--sigma", type=float, default=solver_defaults.sigma)
+    p.add_argument("--sigma", type=float, help="joint/superres: weight of "
+                   f"the disjoint-region TV terms (default {solver_defaults.sigma})")
     p.add_argument("--tol", type=float, default=solver_defaults.rel_tol)
     p.add_argument("--max-iters", type=int, default=solver_defaults.max_iters)
     p.add_argument("--verbose", action="store_true",

@@ -15,9 +15,8 @@ stage and runs the rest in ping-pong (Stockham) order on those pairs; it
 must stay bit-identical to the natural-order butterfly: the solver's stop
 rule turns a last-ulp difference into a different stopping iteration.
 An Aperture holds one spec's order-length work line and the transform's
-views and buffer on it (fwht_stages), so repeated applications of A and
-A^T allocate only their measurement vectors; the solver keeps one per
-solve.
+views and buffer on it, so repeated applications of A and A^T allocate
+only their measurement vectors; the solver keeps one per solve.
 
 Measurement sets are serialized in a small self-describing container
 ("MVM1"): a text header followed by little-endian binary payload, exact
@@ -32,12 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import GAMMA, MASK64, normal_stream, u64_stream
-
-
-def _check_line(x: np.ndarray) -> None:
-    n = x.size
-    if x.dtype != np.float64 or x.ndim != 1 or n == 0 or n & (n - 1):
-        raise ValueError("fwht needs a 1-D float64 array of power-of-two length")
 
 
 def _plan(line: np.ndarray) -> tuple:
@@ -57,17 +50,6 @@ def _plan(line: np.ndarray) -> tuple:
     return line, (line[0::2], line[1::2], buf.real, buf.imag), steps, copy
 
 
-def fwht_stages(line: np.ndarray) -> tuple:
-    """The views and pair buffer of an fwht call on `line`, a contiguous
-    1-D float64 array of power-of-two length, made once: fwht(line,
-    stages) transforms whatever line holds without making either.  The
-    stages keep the buffer (8 n bytes) alive and fit no other array."""
-    _check_line(line)
-    if not line.flags.c_contiguous:
-        raise ValueError("fwht_stages needs a contiguous line")
-    return _plan(line)
-
-
 def fwht(x: np.ndarray, stages: tuple | None = None) -> np.ndarray:
     """In-place fast Walsh-Hadamard transform in Sylvester (natural) order.
 
@@ -83,13 +65,16 @@ def fwht(x: np.ndarray, stages: tuple | None = None) -> np.ndarray:
     Keep it bit-identical: the solver's stop rule is sensitive to last-ulp
     changes in the transform.
 
-    `stages` from fwht_stages(x) skips the checks and reuses their views
-    and buffer, so a caller transforming one line many times (the solver,
-    once per solve) builds them once; without it each call makes its own.
-    Stages made for another array raise ValueError.
+    `stages` are the views and pair buffer that _plan makes over a
+    contiguous line; an Aperture keeps one set for its work line.  With
+    them a call skips the checks and builds nothing, so a caller
+    transforming one line many times builds them once; without them each
+    call makes its own.  Stages made for another array raise ValueError.
     """
     if stages is None:
-        _check_line(x)
+        n = x.size
+        if x.dtype != np.float64 or x.ndim != 1 or n == 0 or n & (n - 1):
+            raise ValueError("fwht needs a 1-D float64 array of power-of-two length")
         # on x itself unless x is a strided view
         stages = _plan(np.ascontiguousarray(x))
     elif stages[0] is not x:
@@ -232,7 +217,7 @@ class Aperture:
         self.spec = spec
         self.line = np.zeros(spec.order)
         self.image = self.line[: spec.pixel_count]
-        self.stages = fwht_stages(self.line)
+        self.stages = _plan(self.line)
 
     def forward(self) -> np.ndarray:
         """z = A x for the flattened image x in `image`, as a new vector."""
@@ -276,6 +261,12 @@ def measure_adjoint(values: np.ndarray, spec: SensingSpec) -> np.ndarray:
     return Aperture(spec).adjoint(v)
 
 
+def _mean_abs(z: np.ndarray) -> np.float64:
+    """mean |z|: the unit of a relative noise level, for the noise that
+    add_noise draws and the fidelity ball that epsilon_for_noise sizes."""
+    return np.mean(np.abs(z))
+
+
 def add_noise(z: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Add iid Gaussian noise with std sigma * mean(|z|), per-seed exact."""
     if not 0.0 <= sigma < math.inf:
@@ -284,10 +275,17 @@ def add_noise(z: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     if sigma == 0.0:
         return z.copy()
     with np.errstate(over="ignore"):
-        z = z + sigma * np.mean(np.abs(z)) * normal_stream(seed, z.size)
+        z = z + sigma * _mean_abs(z) * normal_stream(seed, z.size)
     if not np.isfinite(z).all():
         raise ValueError(f"noise level {sigma} overflows the measurements")
     return z
+
+
+def epsilon_for_noise(noise_sigma: float, z: np.ndarray) -> float:
+    """Discrepancy-principle fidelity radius for z measured with noise
+    added by add_noise at level noise_sigma: sqrt(len z) noise stds."""
+    z = np.asarray(z, dtype=np.float64)
+    return float(noise_sigma * math.sqrt(z.size) * _mean_abs(z))
 
 
 @dataclass

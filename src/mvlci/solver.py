@@ -23,7 +23,7 @@ Support constraints (c zero off the common region, dk zero off sensor k's
 border strip) are enforced by projection inside the inner solve, so they
 hold bitwise at the output.  With noise_sigma > 0 each sensor's equality
 constraint relaxes to ||A x - z_k|| <= epsilon_k, its ball sized from its
-own vector by epsilon_for_noise.  The disjoint-region weight sigma
+own vector by sensing.epsilon_for_noise.  The disjoint-region weight sigma
 defaults to 1.
 
 The operator is normalized from its spectrum in closed form: for m rows
@@ -48,16 +48,19 @@ _Vec): an update, fill or scale is one call, while the dot products and
 the change in x sum window by window.  w, its multipliers and g are one
 (2, h, w) array per component.  The projection and the TV terms run on
 the window, the differences over its flattened rows, and the edge mask E
-zeroes every difference leaving it.  Only the data term needs canvases:
-each block's image is composed in the work line of the engine's one
-Aperture, which holds the line and the transform's views and buffer for
-the whole solve.  The windows behind each operator are added into one
-zeroed canvas, the padding past pixel_count is zeroed before each
-transform, and the adjoint, a view of the line, is cropped back to each
-window before the next transform.  A component whose window is the whole
-canvas is its own canvas, so single-view solves run the full-canvas
-operations unchanged.  The outputs are laid on zeroed canvases once, at
-return.
+zeroes every difference leaving it.  Only the data term needs canvases.
+Each block is one sensor's equation z = A(op B_through x + B_direct x),
+with at most one operator: joint's shift U over c + d1, or superres's
+sampling S_k of the double-width image.  The block's image is composed in
+the work line of the engine's one Aperture, which holds the line and the
+transform's views and buffer for the whole solve: the windows seen
+through the operator are added into one zeroed canvas, the direct
+windows into the operator's product, the padding past pixel_count is
+zeroed before each transform, and the adjoint, a view of the line, is
+cropped back to each window before the next transform.  A component
+whose window is the whole canvas is its own canvas, so single-view
+solves run the full-canvas operations unchanged.  The outputs are laid
+on zeroed canvases once, at return.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .geometry import (
     build_region_masks,
     build_shift,
 )
-from .sensing import Aperture, SensingSpec
+from .sensing import Aperture, SensingSpec, epsilon_for_noise
 
 
 class SolverError(RuntimeError):
@@ -190,14 +193,10 @@ def tv_shrink(values: np.ndarray, threshold: float, out=None) -> np.ndarray:
     """Soft threshold toward zero: sign(v) * max(|v| - threshold, 0), into
     `out` when given (it may be `values` itself)."""
     v = np.asarray(values, dtype=np.float64)
-    mag = np.maximum(np.abs(v) - threshold, 0.0)
+    mag = np.abs(v)    # the one temporary
+    mag -= threshold
+    np.maximum(mag, 0.0, out=mag)
     return np.multiply(np.sign(v, out=out), mag, out=out)
-
-
-def epsilon_for_noise(noise_sigma: float, z: np.ndarray) -> float:
-    """Discrepancy-principle fidelity ball matching add_noise's scaling."""
-    z = np.asarray(z, dtype=np.float64)
-    return float(noise_sigma * math.sqrt(z.size) * np.mean(np.abs(z)))
 
 
 def check_fractional_dx(dx: float) -> None:
@@ -267,8 +266,13 @@ class _Vec(list):
 
 @dataclass
 class _Block:
+    """One sensor's equation z = A(op B_through x + B_direct x): the
+    components in `through` are seen through the CSR operator op, those in
+    `direct` as they are."""
     z: np.ndarray             # raw measurement vector
-    terms: list               # [(comp_index, csr matrix or None), ...]
+    direct: list              # component indices
+    op: sparse.csr_matrix | None = None
+    through: tuple = ()
 
 
 class _Engine:
@@ -309,16 +313,9 @@ class _Engine:
                       else c.mask[c.window] for c in comps]
         # one work line for every transform of the solve
         self.aperture = Aperture(spec)
-        # each block's terms grouped by operator (joint's shift maps c + d1),
-        # the identity last, each with its transpose: op.T is a CSC view of
+        # each block operator's transpose, taken once: op.T is a CSC view of
         # the CSR op that sums in the order a CSR copy of it would
-        self.groups = []
-        for b in blocks:
-            ops = {}
-            for ci, op in sorted(b.terms, key=lambda term: term[1] is None):
-                ops.setdefault(id(op), (op, []))[1].append(ci)
-            self.groups.append([(op, None if op is None else op.T, cis)
-                                for op, cis in ops.values()])
+        self.op_t = [None if b.op is None else b.op.T for b in blocks]
 
     # -- linear pieces ------------------------------------------------------
 
@@ -352,32 +349,30 @@ class _Engine:
 
     def _forward(self, xl, bi):
         """A_bar applied to the composed image of block bi, composed in the
-        aperture's line: each operator maps its components' canvas, and the
-        identity's components are added last into the sum of those
-        products."""
+        aperture's line: the operator's product, if the block has one, with
+        the direct components added into it."""
+        b = self.blocks[bi]
         img = self.aperture.image
-        for k, (op, _, cis) in enumerate(self.groups[bi]):
-            if op is None:
-                canvas = img.reshape(self.comps[cis[0]].shape)
-                if k:
-                    self._add(xl, cis, canvas)
-                else:
-                    self._compose(xl, cis, canvas)
-            elif k:
-                img += op @ self._compose(xl, cis).ravel()
-            else:
-                img[...] = op @ self._compose(xl, cis).ravel()
+        canvas = img.reshape(self.comps[b.direct[0]].shape)
+        if b.op is None:
+            self._compose(xl, b.direct, canvas)
+        else:
+            img[...] = b.op @ self._compose(xl, b.through).ravel()
+            self._add(xl, b.direct, canvas)
         z = self.aperture.forward()
         z /= self.scale
         return z
 
     def _backward(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
+        b = self.blocks[bi]
         g = self.aperture.adjoint(r)    # a view of the line
         g /= self.scale
-        # op_t @ g once per operator; every product is taken before g, then
-        # each is scaled in place and cropped to its components' windows
-        vs = [(g if op is None else op_t @ g, cis) for op, op_t, cis in self.groups[bi]]
+        # op.T @ g is taken before g is scaled in place; each product is
+        # scaled and cropped to its components' windows
+        vs = [(g, b.direct)]
+        if b.op is not None:
+            vs.append((self.op_t[bi] @ g, b.through))
         for v, cis in vs:
             v *= factor
             for ci in cis:
@@ -602,7 +597,7 @@ def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int
     # a non-empty stack is checked row by row; anything else as one vector
     zs = _measurements(spec, width, height, *(z if z.ndim == 2 and len(z) else [z]))
     comps = [_Comp((height, width), None, 1.0)]
-    blocks = [_Block(zrow, [(0, None)]) for zrow in zs]
+    blocks = [_Block(zrow, [0]) for zrow in zs]
     (image,), res = _Engine(comps, blocks, spec, cfg).run()
     res.image = image
     return res
@@ -636,8 +631,8 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     # I_D1 leaks half a tap into the last common column of view 2, so the
     # shift is routed over I_C + I_D1 to keep the model exact.
     blocks = [
-        _Block(z1, [(0, None), (1, None)]),
-        _Block(z2, [(0, shift.matrix), (1, shift.matrix), (2, None)]),
+        _Block(z1, [0, 1]),
+        _Block(z2, [2], shift.matrix, [0, 1]),
     ]
     (common, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
     res.common, res.disjoint1, res.disjoint2 = common, d1, d2
@@ -679,8 +674,8 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
         _Comp((height, width), masks.disjoint[1], float(cfg.sigma) / 2.0),
     ]
     blocks = [
-        _Block(z1, [(0, s1), (1, None)]),
-        _Block(z2, [(0, s2), (2, None)]),
+        _Block(z1, [1], s1, [0]),
+        _Block(z2, [2], s2, [0]),
     ]
     (hr, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
     res.image, res.disjoint1, res.disjoint2 = hr, d1, d2

@@ -7,8 +7,9 @@ import pytest
 
 from mvlci.cli import build_parser, main
 from mvlci.pgm import read_pgm, write_pgm
-from mvlci.sensing import MeasurementSet, SensingSpec, read_mvm, select_rows, write_mvm
-from mvlci.solver import SolverConfig, epsilon_for_noise
+from mvlci.sensing import (MeasurementSet, SensingSpec, epsilon_for_noise,
+                           read_mvm, select_rows, write_mvm)
+from mvlci.solver import SolverConfig
 
 
 def read_manifest(path):
@@ -338,13 +339,32 @@ def test_reconstruct_default_sigma_is_one(offset_pair, tmp_path, mode):
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_reconstruct_defaults_are_the_solver_config_defaults():
+def test_reconstruct_defaults_are_the_solver_config_defaults(offset_pair, tmp_path):
     args = build_parser().parse_args(["reconstruct", "--meas", "m", "--out", "o"])
     cfg = SolverConfig()
-    assert (args.max_iters, args.tol, args.sigma) == (
-        cfg.max_iters, cfg.rel_tol, cfg.sigma)
+    assert (args.max_iters, args.tol) == (cfg.max_iters, cfg.rel_tol)
+    # --sigma is unset unless given; joint and superres resolve it from
+    # SolverConfig, and their manifests record the weight they used
+    assert args.sigma is None
+    out = tmp_path / "joint"
+    assert main(["reconstruct", "--meas", str(offset_pair / "meas.mvm"),
+                 "--mode", "joint", "--max-iters", "2", "--out", str(out)]) == 0
+    assert read_manifest(out / "manifest.txt")["sigma"] == repr(cfg.sigma)
     # the noise level comes from the measurement file, never from a flag
     assert not hasattr(args, "epsilon") and not hasattr(args, "noise_sigma")
+
+
+def test_single_mode_rejects_sigma(colocated, tmp_path, capsys):
+    """Single mode weighs its one TV term by 1, so --sigma would change
+    nothing: it is a usage error, and a single-mode manifest has no sigma."""
+    out = tmp_path / "x"
+    assert main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
+                 "--sigma", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not out.exists()
+    assert main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
+                 "--max-iters", "2", "--out", str(out)]) == 0
+    assert "sigma" not in read_manifest(out / "manifest.txt")
 
 
 def test_noisy_sensor_k_sizes_epsilon_from_its_own_vector(tmp_path):
@@ -421,9 +441,9 @@ def test_reconstruct_non_numeric_sigma_is_an_argparse_error(colocated, tmp_path,
 
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"],
-    ["--sigma", "inf"],
-    ["--sigma", "0"],
-    ["--sigma", "-1"],
+    ["--mode", "joint", "--sigma", "inf"],
+    ["--mode", "joint", "--sigma", "0"],
+    ["--mode", "joint", "--sigma", "-1"],
 ])
 def test_reconstruct_rejects_non_finite_settings(colocated, tmp_path, capsys, flags):
     code = main(["reconstruct", "--meas", str(colocated / "meas.mvm"),
@@ -446,6 +466,38 @@ def test_reconstruct_non_finite_offset_is_a_usage_error(offset_pair, tmp_path,
     assert code == 2
     assert capsys.readouterr().err.startswith("mvlci:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "joint", "--dx", "16"],
+    ["--mode", "joint", "--dx=-16"],
+    ["--mode", "joint", "--dx", "1e308"],
+    ["--mode", "joint", "--dy", "16"],
+    ["--mode", "joint", "--dx", "15.5"],
+    ["--mode", "superres", "--dx", "20.5"],
+    ["--mode", "superres", "--dx", "15.5"],
+])
+def test_reconstruct_offset_with_no_common_region_is_a_usage_error(
+        offset_pair, tmp_path, capsys, flags):
+    """On a 16x16 grid an offset beyond 15 columns or rows leaves no pixel
+    that both sensors see."""
+    out = tmp_path / "x"
+    code = main(["reconstruct", "--meas", str(offset_pair / "meas.mvm"),
+                 "--out", str(out)] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "joint", "--dx", "15"],
+    ["--mode", "joint", "--dx=-15"],
+    ["--mode", "superres", "--dx", "14.5"],
+])
+def test_reconstruct_offset_with_a_common_column_still_solves(offset_pair, tmp_path,
+                                                             flags):
+    assert main(["reconstruct", "--meas", str(offset_pair / "meas.mvm"),
+                 "--max-iters", "2", "--out", str(tmp_path / "x")] + flags) == 0
 
 
 def test_oversized_order_is_a_clean_runtime_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from mvlci.scene import make_test_scene
 from mvlci.sensing import (
     SensingSpec,
     add_noise,
+    epsilon_for_noise,
     measure,
     measure_adjoint,
     select_rows,
@@ -24,7 +25,6 @@ from mvlci.solver import (
     _Comp,
     _Engine,
     _pair_average_matrix,
-    epsilon_for_noise,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -106,6 +106,22 @@ def test_tv_shrink_is_bytewise_the_closed_form(threshold):
     assert out.tobytes() == want
     assert tv_shrink(v, threshold, out=v) is v
     assert v.tobytes() == want
+
+
+def test_tv_shrink_makes_one_temporary():
+    """Into `out` or in place, the shrink's only temporary is |v|: its
+    traced peak stays at one input size."""
+    v = np.random.default_rng(6).standard_normal((2, 256, 512))
+    out = np.empty_like(v)
+    for target in (out, v):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tv_shrink(v, 0.5, out=target)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= v.nbytes + 4096
 
 
 def loop_tv_grad(x):
@@ -202,7 +218,7 @@ def dense_norm_sq(spec):
 def engine_norm_sq(spec):
     """The ||A||^2 a one-block engine is scaled by: scale^2 * order."""
     engine = _Engine([_Comp((1, spec.pixel_count), None, 1.0)],
-                     [_Block(np.zeros(spec.count), [(0, None)])], spec,
+                     [_Block(np.zeros(spec.count), [0])], spec,
                      SolverConfig())
     return engine.scale ** 2 * spec.order
 
@@ -292,7 +308,7 @@ def test_fidelity_gradient_passes_finite_difference_check():
     rng = np.random.default_rng(5)
     z = measure(rng.uniform(size=64), spec)
     comps = [_Comp((8, 8), None, 1.0)]
-    engine = _Engine(comps, [_Block(z, [(0, None)])], spec, SolverConfig())
+    engine = _Engine(comps, [_Block(z, [0])], spec, SolverConfig())
     x = [rng.standard_normal((8, 8))]
     _, grad = fidelity_value_grad(engine, x)
     h = 1e-6
@@ -346,26 +362,30 @@ def assembled_normal(engine, xl, mu):
     """H x assembled from whole full-canvas lists, as _normal(_grads(x),
     _forwards(x), mu) did: every masked gradient and every block's forward
     product first, then mu D^T g, then each block's adjoint through a CSR
-    copy of each transpose.  A block's image is the sum of each operator
-    applied once to the sum of its components, as in A (U(c + d1) + d2),
-    operators first.  Returns H x, the gradients and the forwards."""
+    copy of its operator's transpose.  A block's image is its operator
+    applied once to the sum of the components behind it, plus the sum of
+    its direct components, as in A (U(c + d1) + d2).  Returns H x, the
+    gradients and the forwards."""
+    def summed(cis):
+        u = xl[cis[0]].ravel().copy()
+        for ci in cis[1:]:
+            u = u + xl[ci].ravel()
+        return u
+
     gl = [float_edge_mask(c) * tv_grad(x) for c, x in zip(engine.comps, xl)]
     fl = []
     for b in engine.blocks:
-        sums = {}    # id(op) -> (op, the sum of the components behind it)
-        for ci, op in b.terms:
-            x = xl[ci].ravel()
-            sums[id(op)] = (op, sums[id(op)][1] + x if id(op) in sums else x.copy())
-        img = None
-        for op, u in sorted(sums.values(), key=lambda ou: ou[0] is None):
-            v = u if op is None else op @ u
-            img = v if img is None else img + v
+        img = summed(b.direct)
+        if b.op is not None:
+            img = b.op @ summed(b.through) + img
         fl.append(measure(img, engine.spec) / engine.scale)
     out = [mu * tv_grad_adjoint(g) for g in gl]
     for b, f in zip(engine.blocks, fl):
         g = measure_adjoint(f, engine.spec) / engine.scale
-        for ci, op in b.terms:
-            v = g if op is None else op.T.tocsr() @ g
+        views = [(ci, g) for ci in b.direct]
+        if b.op is not None:
+            views += [(ci, b.op.T.tocsr() @ g) for ci in b.through]
+        for ci, v in views:
             out[ci] += mu * v.reshape(engine.comps[ci].shape)
     for c, x in zip(engine.comps, out):
         if c.mask is not None:

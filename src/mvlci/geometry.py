@@ -45,11 +45,7 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     weight and column arrays; the positive weights are kept in row-major
     order, so each row's columns ascend, and indptr counts them per pixel.
     """
-    _require_finite(dx, dy)
-    if abs(dx) >= width or abs(dy) >= height:
-        raise ValueError(
-            f"shift ({dx}, {dy}) out of range for a {width}x{height} grid"
-        )
+    _require_in_range(dx, dy, width, height)
     xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
     yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
 
@@ -138,6 +134,14 @@ def build_region_masks(dx: float, dy: float, width: int, height: int) -> RegionM
 def _require_finite(dx, dy) -> None:
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise ValueError(f"shift ({dx}, {dy}) must be finite")
+
+
+def _require_in_range(dx, dy, width, height) -> None:
+    _require_finite(dx, dy)
+    if abs(dx) >= width or abs(dy) >= height:
+        raise ValueError(
+            f"shift ({dx}, {dy}) out of range for a {width}x{height} grid"
+        )
 
 
 def _stencil_inside(dx, dy, width, height, sign):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from mvlci import sensing, solver
+from mvlci import geometry, sensing, solver
 from mvlci.geometry import apply_shift, build_region_masks, build_shift
-from mvlci.scene import make_test_scene
+from mvlci.scene import CameraGeometry, make_test_scene, render_view
 from mvlci.sensing import (
     SensingSpec,
     add_noise,
@@ -25,6 +25,7 @@ from mvlci.solver import (
     _Comp,
     _Engine,
     _pair_average_matrix,
+    _shifted_pair_average_matrix,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -252,17 +253,17 @@ NORM_SPECS = [
 
 @pytest.mark.parametrize("order,rate,seed,pixels", NORM_SPECS)
 def test_estimate_norm_sq_is_bit_identical_to_the_full_loop(order, rate, seed, pixels):
-    """The engine's norm estimate against all 30 steps of the power loop:
-    equal up to the last ulps the two roundings leave."""
+    """The engine's closed-form ||A||^2 against all 30 steps of the power
+    loop: within 4 ulps, the last ulps the two roundings leave."""
     spec = make_spec(order, rate, seed, pixel_count=pixels)
     power = power_iteration(spec)
     assert abs(engine_norm_sq(spec) - power) <= 4 * np.spacing(power)
 
 
 @pytest.mark.parametrize("rate,seed", [(0.125, 42), (0.25, 43)])
-def test_estimate_norm_sq_at_65536_stops_early_and_exactly(monkeypatch, rate, seed):
-    """The benchmark's 256x256 specs: the engine's scale takes no
-    transform at all, and matches the full power loop."""
+def test_closed_form_norm_at_65536_takes_no_transform(monkeypatch, rate, seed):
+    """The benchmark's 256x256 specs: the engine's closed-form scale takes
+    no transform at all, and matches the full power loop within 4 ulps."""
     spec = make_spec(65536, rate, seed, pixel_count=65536)
     calls = []
     fwht = sensing.fwht
@@ -542,14 +543,17 @@ def test_projection_keeps_only_masks_that_leave_part_of_their_window(
         assert np.array_equal(x, want)
 
 
-@pytest.mark.parametrize("mode", ["single", "joint"])
+@pytest.mark.parametrize("mode", ["single", "joint", "joint-shifted"])
 def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, mode):
     """At 256x256 (order 65536) a forward and an adjoint of block 0 compose
     the image in the engine's work line and take the adjoint as a view of
     it: together they allocate the measurement vector and no order-length
     array.  Joint's common window is strided, and numpy stages each add
     into or out of it through iteration buffers of getbufsize() elements
-    (two at most, 128 KiB), still a quarter of one order-length array."""
+    (two at most, 128 KiB), still a quarter of one order-length array.
+    Joint's block 1 (joint-shifted), z2 = A(U(c + d1) + d2), composes
+    c + d1 in the line, which U's product then overwrites: it adds the
+    products U (c + d1) and U^T g, one at a time, and no zeroed canvas."""
     size = 256
     spec = make_spec(65536, 0.125, 42, pixel_count=size * size)
     z = np.zeros(spec.count)
@@ -559,21 +563,23 @@ def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, 
         masks = build_region_masks(3.5, 0.0, size, size)
         shift = build_shift(3.5, 0.0, size, size)
         solve = lambda: reconstruct_joint(z, z, spec, size, size, shift, masks)
+    bi = 1 if mode == "joint-shifted" else 0
     engine = built_engine(monkeypatch, solve)
     rng = np.random.default_rng(1)
     xl = [rng.standard_normal(c.window_shape) for c in engine.comps]
     out = [np.zeros(c.window_shape) for c in engine.comps]
-    engine._backward(engine._forward(xl, 0), 0, out, 1.0)
+    engine._backward(engine._forward(xl, bi), bi, out, 1.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fwd = engine._forward(xl, 0)
-        engine._backward(fwd, 0, out, PENALTY)
+        fwd = engine._forward(xl, bi)
+        engine._backward(fwd, bi, out, PENALTY)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     strided = 0 if mode == "single" else 2 * 8 * np.getbufsize()
-    assert peak <= fwd.nbytes + strided + 4096
+    product = 8 * size * size if bi else 0
+    assert peak <= fwd.nbytes + product + strided + 4096
 
 
 @pytest.mark.parametrize("mode", ["joint", "superres"])
@@ -679,6 +685,23 @@ def test_converged_run_satisfies_the_residual_criterion():
         assert r <= cfg.rel_tol * (1.0 + 1e-12)
     assert res.residual_history.shape == (res.iterations, 1)
     assert res.objective_history.shape == (res.iterations,)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: false convergence")
+def test_full_scale_single_solve_is_not_converged_after_20_iterations():
+    """The benchmark's first 256x256 single input: the blocks scene 7 seen
+    by the first of two sensors 3.5 apart from a far scene, a quarter of
+    the 65536 rows at seed 42.  Twenty iterations leave this solve far from
+    its optimum, so it must not report convergence."""
+    size, pad = 256, 4
+    geo = CameraGeometry(aperture_width=size, aperture_height=size,
+                         sensor_offsets=[(0.0, 0.0), (3.5, 0.0)],
+                         sensor_plane_distance=1.0, scene_distance=1.0e7)
+    view = render_view(make_test_scene("blocks", size + 2 * pad, size, 7), geo, 1)
+    spec = make_spec(65536, 0.25, 42, pixel_count=size * size)
+    res = reconstruct_single(measure(view, spec), spec, size, size,
+                             SolverConfig(sigma=1.0, max_iters=20))
+    assert not res.converged
 
 
 def test_epsilon_ball_relaxes_the_fit():
@@ -883,6 +906,45 @@ def coo_pair_average_matrix(width, height):
 def test_pair_average_csr_equals_the_triplet_assembly(width, height):
     assert_same_csr(_pair_average_matrix(width, height),
                     coo_pair_average_matrix(width, height))
+
+
+def shifted_pair_average_by_product(dx, width, height):
+    """S2 = S1 U(2 dx) as the sparse product of the two operators, the
+    reference for the directly assembled CSR arrays."""
+    return (_pair_average_matrix(width, height)
+            @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
+
+
+@pytest.mark.parametrize("dx", [3.5, 3.499999650000035, -2.5, 1.25, 0.3, -0.7,
+                                0.001, -0.999, 7.5, 15.5])
+def test_shifted_pair_average_csr_equals_the_product(dx):
+    """Byte for byte the product's arrays, dtypes included, on every grid
+    the shift fits (|2 dx| < 2 width), and build_shift's ValueError on the
+    others.  3.499999650000035 is the benchmark's far-field shift."""
+    for width, height in ((1, 1), (3, 2), (8, 4), (16, 16), (64, 64), (256, 256)):
+        if abs(dx) < width:
+            assert_same_csr(_shifted_pair_average_matrix(dx, width, height),
+                            shifted_pair_average_by_product(dx, width, height))
+            continue
+        with pytest.raises(ValueError) as want:
+            shifted_pair_average_by_product(dx, width, height)
+        with pytest.raises(ValueError, match="out of range") as got:
+            _shifted_pair_average_matrix(dx, width, height)
+        assert str(got.value) == str(want.value)
+
+
+def test_superres_builds_no_shift_operator(monkeypatch):
+    """reconstruct_superres assembles its sampling operators directly and
+    never calls build_shift."""
+    def refuse(*args):
+        raise AssertionError("build_shift called")
+
+    monkeypatch.setattr(geometry, "build_shift", refuse)
+    monkeypatch.setattr(solver, "build_shift", refuse, raising=False)
+    spec = make_spec(256, 0.5, 0, pixel_count=256)
+    z = measure(np.full((16, 16), 0.4), spec)
+    res = reconstruct_superres(z, z, spec, 16, 16, 3.5, SolverConfig(max_iters=2))
+    assert res.image.shape == (16, 32)
 
 
 def test_superres_rejects_integer_offsets():

@@ -37,9 +37,13 @@ the CSR arrays of six sparse operators:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
 with dy != 0 and a negative fractional shift, and the 64x64 superres
-pair-average sampling, and (section `tv`) tv_grad, tv_grad_adjoint and
-tv_shrink on one-row, one-column, empty, strided and transposed inputs
-with zeros of both signs; 10-20 s on two cores.
+pair-average sampling, (section `operators.superres`) superres's
+sensor-2 sampling S2 at the study shift on 64x64 and at the benchmark
+shift on 256x256, (section `tv`) tv_grad, tv_grad_adjoint and tv_shrink
+on one-row, one-column, empty, strided and transposed inputs with zeros
+of both signs, and (section `cli.experiment`) the report that
+`mvlci experiment --which fig4` prints and the files it writes; 10-20 s
+on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
 CLI, each for at most 20 iterations (a fraction of a second; the test
 suite runs it).
@@ -66,6 +70,7 @@ from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, sel
 from mvlci.solver import (
     SolverConfig,
     _pair_average_matrix,
+    _shifted_pair_average_matrix,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -235,10 +240,37 @@ def _cli(d: _Digest, max_iters: int) -> None:
             h = d.part(f"cli.{rel.parts[0]}" if len(rel.parts) > 1 else "cli.acquire")
             data = path.read_bytes()
             if path.name.endswith("manifest") or path.name == "manifest.txt":
-                data = b"\n".join(line for line in data.split(b"\n")
-                                  if not line.startswith(b"wall_time_s="))
-                data = data.replace(str(root).encode(), b"<root>")
+                data = _timeless_manifest(data, str(root))
             _put(h, f"cli.{rel}", data)
+
+
+def _timeless_manifest(data: bytes, root: str) -> bytes:
+    """A manifest without its `wall_time_s` line, with `root` as <root>."""
+    data = b"\n".join(line for line in data.split(b"\n")
+                      if not line.startswith(b"wall_time_s="))
+    return data.replace(root.encode(), b"<root>")
+
+
+def _experiment(h) -> None:
+    """`mvlci experiment --which fig4`: what it prints, then every file it
+    writes, in name order, without the manifest's `wall_time_s` line and
+    the `wall_time_s` column of report.csv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["experiment", "--which", "fig4", "--out", tmp])
+        if code != 0:
+            raise RuntimeError(f"mvlci experiment exited {code}")
+        _put(h, "cli.experiment.stdout", out.getvalue())
+        for path in sorted(Path(tmp).iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.txt":
+                data = _timeless_manifest(data, tmp)
+            elif path.name == "report.csv":
+                rows = [line.split(b",") for line in data.split(b"\n")]
+                col = rows[0].index(b"wall_time_s")
+                data = b"\n".join(b",".join(r[:col] + r[col + 1:]) for r in rows)
+            _put(h, f"cli.experiment.{path.name}", data)
 
 
 def _rows(h) -> None:
@@ -249,9 +281,10 @@ def _rows(h) -> None:
         _put(h, f"rows.{order}.{rate}.{seed}", select_rows(order, rate, seed))
 
 
-def _operators(h) -> None:
+def _operators(d: _Digest) -> None:
     """Shape, indptr, indices and data (each with its dtype) of the shift
-    and sampling operators the solves build."""
+    and sampling operators the solves build, with superres's sensor-2
+    sampling S2 in a section of its own, `operators.superres`."""
     geo = CameraGeometry(aperture_width=64, aperture_height=64,
                          sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
                          sensor_plane_distance=1.0, scene_distance=1.0e7)
@@ -264,10 +297,14 @@ def _operators(h) -> None:
         "shift.negative": build_shift(-2.5, -1.25, 64, 48).matrix,
         "pair_average.64": _pair_average_matrix(64, 64),
     }
-    for name, mat in mats.items():
-        _put(h, f"{name}.shape", mat.shape)
-        for part in ("indptr", "indices", "data"):
-            _put(h, f"{name}.{part}", getattr(mat, part))
+    s2 = {f"shifted_pair_average.{size}":
+          _shifted_pair_average_matrix(dx_eff, size, size) for size in (64, 256)}
+    for section, group in (("operators", mats), ("operators.superres", s2)):
+        h = d.part(section)
+        for name, mat in group.items():
+            _put(h, f"{name}.shape", mat.shape)
+            for part in ("indptr", "indices", "data"):
+                _put(h, f"{name}.{part}", getattr(mat, part))
 
 
 def _signed(rng, shape) -> np.ndarray:
@@ -319,8 +356,9 @@ def sections(reduced: bool = False) -> list:
         _studies(d)
         _cli(d, 80)
         _rows(d.part("rows"))
-        _operators(d.part("operators"))
+        _operators(d)
         _tv(d.part("tv"))
+        _experiment(d.part("cli.experiment"))
     return ([(name, h.hexdigest()) for name, h in d.sections.items()]
             + [("total", d.total.hexdigest())])
 

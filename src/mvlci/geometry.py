@@ -10,6 +10,12 @@ materializes that resampling as a sparse matrix U (at most 4 entries per
 row); for integer shifts it degenerates to a partial permutation with
 exact 0/1 entries.  Region masks split each view into the part both
 sensors can see and the per-sensor border strips.
+
+For super-resolution each sensor k samples a double-width image through
+S(dx_k) = S1 U(2 dx_k), with dx_1 = 0: S1 averages each pair of high-res
+columns, and U is the bilinear shift on the double-width grid.
+build_sampling writes S(dx) as CSR arrays directly, from U's column taps
+without building U.
 """
 
 from __future__ import annotations
@@ -79,6 +85,40 @@ def _axis_taps(src: np.ndarray, size: int):
     weights = np.where(inside, weights, 0.0)
     taps = np.clip(taps, 0, size - 1)
     return taps, weights
+
+
+def build_sampling(dx: float, width: int, height: int) -> sparse.csr_matrix:
+    """Sampling S(dx) = S1 U(2 dx) of the 2*width grid, its CSR arrays
+    written directly: byte for byte those of
+    (S1 @ build_shift(2 dx, 0, 2 width, height).matrix).tocsr(), with
+    build_shift's ValueError for |2 dx| >= 2 width.  S1 maps low-res pixel
+    p = y*width + x to the mean of high-res columns 2p and 2p + 1.
+
+    U moves no row, so one template over the low-res columns x, tiled over
+    the rows at column offset y * 2 width, is the whole matrix.  The
+    product meets the taps (t0, t1) of high-res 2x, then of 2x + 1, each
+    halved; it sums each column from 0 in that order, where tap 1 of 2x
+    and tap 0 of 2x + 1 share one, and emits the columns last first, that
+    is descending.  Taps at weight 0 (off the grid) are not in U; here
+    they are dropped with any zero sum."""
+    hw = 2 * width
+    _require_in_range(2.0 * dx, 0.0, hw, height)
+    taps, weights = _axis_taps(np.arange(hw, dtype=np.float64) - 2.0 * dx, hw)
+    # per x, descending: (2x+1, t1), (2x+1, t0), (2x, t1), (2x, t0)
+    cols = taps.reshape(width, 4)[:, ::-1]
+    vals = (0.5 * weights).reshape(width, 4)[:, ::-1].copy()
+    same = cols[:, 1] == cols[:, 2]
+    vals[same, 1] = vals[same, 2] + vals[same, 1]
+    vals[same, 2] = 0.0
+    keep = vals != 0.0
+    n_lo = width * height
+    idx = sparse.get_index_dtype(maxval=4 * n_lo)
+    indices = (np.arange(0, hw * height, hw, dtype=idx)[:, None]
+               + cols[keep].astype(idx))
+    indptr = np.zeros(n_lo + 1, dtype=idx)
+    np.cumsum(np.tile(keep.sum(axis=1), height), out=indptr[1:])
+    return sparse.csr_matrix((np.tile(vals[keep], height), indices.ravel(), indptr),
+                             shape=(n_lo, hw * height))
 
 
 def apply_shift(op: ShiftOperator, image: np.ndarray) -> np.ndarray:

@@ -14,10 +14,6 @@ JOINT     min ||D c||_1 + (sigma/2)(||D d1||_1 + ||D d2||_1)
 SUPERRES  same as JOINT with c replaced by a double-width image seen
           through per-sensor sampling operators S1, S2.
 
-S1 averages each pair of high-res columns, and S2 = S1 U(2 dx), with U the
-bilinear shift on the double-width grid; both are written as CSR arrays
-directly, S2 from U's column taps without building U.
-
 For integer offsets U d1 vanishes (the strip shifts off the grid) and the
 second constraint reduces to the familiar A (U c + d2) = z2; for
 fractional offsets the extra term keeps the model consistent with how the
@@ -80,10 +76,9 @@ from scipy import sparse
 from .geometry import (
     RegionMasks,
     ShiftOperator,
-    _axis_taps,
-    _require_in_range,
     apply_shift,
     build_region_masks,
+    build_sampling,
 )
 from .sensing import Aperture, SensingSpec, epsilon_for_noise
 
@@ -647,51 +642,6 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     return res
 
 
-def _pair_average_matrix(width: int, height: int) -> sparse.csr_matrix:
-    """Sampling S: low-res pixel (x, y) = mean of high-res (2x, 2x+1), so
-    row p = y*width + x holds 0.5 at columns 2p and 2p + 1 (CSR, direct)."""
-    n_lo = width * height
-    idx = sparse.get_index_dtype(maxval=2 * n_lo)
-    return sparse.csr_matrix(
-        (np.full(2 * n_lo, 0.5), np.arange(2 * n_lo, dtype=idx),
-         np.arange(0, 2 * n_lo + 1, 2, dtype=idx)),
-        shape=(n_lo, 2 * n_lo))
-
-
-def _shifted_pair_average_matrix(dx: float, width: int, height: int
-                                 ) -> sparse.csr_matrix:
-    """Sensor 2's sampling S2 = S1 U(2 dx) on the 2*width grid, its CSR
-    arrays written directly: byte for byte those of
-    (S1 @ build_shift(2 dx, 0, 2 width, height).matrix).tocsr(), with
-    build_shift's ValueError for |2 dx| >= 2 width.
-
-    U moves no row, so one template over the low-res columns x, tiled over
-    the rows at column offset y * 2 width, is the whole matrix.  The
-    product meets the taps (t0, t1) of high-res 2x, then of 2x + 1, each
-    halved; it sums each column from 0 in that order, where tap 1 of 2x
-    and tap 0 of 2x + 1 share one, and emits the columns last first, that
-    is descending.  Taps at weight 0 (off the grid) are not in U; here
-    they are dropped with any zero sum."""
-    hw = 2 * width
-    _require_in_range(2.0 * dx, 0.0, hw, height)
-    taps, weights = _axis_taps(np.arange(hw, dtype=np.float64) - 2.0 * dx, hw)
-    # per x, descending: (2x+1, t1), (2x+1, t0), (2x, t1), (2x, t0)
-    cols = taps.reshape(width, 4)[:, ::-1]
-    vals = (0.5 * weights).reshape(width, 4)[:, ::-1].copy()
-    same = cols[:, 1] == cols[:, 2]
-    vals[same, 1] = vals[same, 2] + vals[same, 1]
-    vals[same, 2] = 0.0
-    keep = vals != 0.0
-    n_lo = width * height
-    idx = sparse.get_index_dtype(maxval=4 * n_lo)
-    indices = (np.arange(0, hw * height, hw, dtype=idx)[:, None]
-               + cols[keep].astype(idx))
-    indptr = np.zeros(n_lo + 1, dtype=idx)
-    np.cumsum(np.tile(keep.sum(axis=1), height), out=indptr[1:])
-    return sparse.csr_matrix((np.tile(vals[keep], height), indices.ravel(), indptr),
-                             shape=(n_lo, hw * height))
-
-
 def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
                          width: int, height: int, dx: float,
                          cfg: SolverConfig | None = None) -> ReconstructionResult:
@@ -706,8 +656,7 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     z1, z2 = _measurements(spec, width, height, z1, z2)
     check_fractional_dx(dx)
     masks = build_region_masks(dx, 0.0, width, height)
-    s1 = _pair_average_matrix(width, height)
-    s2 = _shifted_pair_average_matrix(dx, width, height)
+    s1, s2 = build_sampling(0.0, width, height), build_sampling(dx, width, height)
     comps = [
         _Comp((height, 2 * width), None, 1.0),
         _Comp((height, width), masks.disjoint[0], float(cfg.sigma) / 2.0),

@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 
 from mvlci import geometry, sensing, solver
-from mvlci.geometry import apply_shift, build_region_masks, build_shift
+from mvlci.geometry import apply_shift, build_region_masks, build_sampling, build_shift
 from mvlci.scene import CameraGeometry, make_test_scene, render_view
 from mvlci.sensing import (
     SensingSpec,
@@ -24,8 +24,6 @@ from mvlci.solver import (
     _Block,
     _Comp,
     _Engine,
-    _pair_average_matrix,
-    _shifted_pair_average_matrix,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -583,7 +581,7 @@ def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, 
 
 
 @pytest.mark.parametrize("mode", ["joint", "superres"])
-def test_solve_peak_memory_stays_within_17x_the_unknowns(mode):
+def test_solve_peak_memory_stays_within_6x_and_10x_the_unknowns(mode):
     """A two-iteration 64x64 solve allocates at most 6 (joint) or 10
     (superres) times the bytes of its unknowns at its peak (tracemalloc),
     inputs excluded.  Every per-component array lives on its support
@@ -881,55 +879,43 @@ def test_joint_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def test_pair_average_matrix_averages_pairs():
-    s = _pair_average_matrix(4, 3)
+    s = build_sampling(0.0, 4, 3)
     assert s.shape == (12, 24)
     hr = np.arange(24, dtype=np.float64).reshape(3, 8)
     lo = (s @ hr.ravel()).reshape(3, 4)
     assert np.array_equal(lo, 0.5 * (hr[:, 0::2] + hr[:, 1::2]))
 
 
-def coo_pair_average_matrix(width, height):
-    """The sampling matrix built from (row, col) triplets, the reference
-    that the directly written CSR arrays must match array for array."""
-    n_lo = width * height
-    rows = np.repeat(np.arange(n_lo, dtype=np.int64), 2)
-    y, x = np.divmod(np.arange(n_lo, dtype=np.int64), width)
-    cols = np.empty(2 * n_lo, dtype=np.int64)
-    cols[0::2] = y * (2 * width) + 2 * x
-    cols[1::2] = y * (2 * width) + 2 * x + 1
-    vals = np.full(2 * n_lo, 0.5)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_lo, 2 * n_lo))
-
-
-@pytest.mark.parametrize("width,height", [(1, 1), (1, 5), (4, 3), (7, 2),
-                                          (64, 64), (256, 256)])
-def test_pair_average_csr_equals_the_triplet_assembly(width, height):
-    assert_same_csr(_pair_average_matrix(width, height),
-                    coo_pair_average_matrix(width, height))
-
-
 def shifted_pair_average_by_product(dx, width, height):
-    """S2 = S1 U(2 dx) as the sparse product of the two operators, the
-    reference for the directly assembled CSR arrays."""
-    return (_pair_average_matrix(width, height)
-            @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
+    """S(dx) = S1 U(2 dx) as the sparse product of the two operators, the
+    reference for the directly assembled CSR arrays.  S1's row p holds 0.5
+    at columns 2p and 2p + 1."""
+    n_lo = width * height
+    idx = sparse.get_index_dtype(maxval=2 * n_lo)
+    s1 = sparse.csr_matrix(
+        (np.full(2 * n_lo, 0.5), np.arange(2 * n_lo, dtype=idx),
+         np.arange(0, 2 * n_lo + 1, 2, dtype=idx)),
+        shape=(n_lo, 2 * n_lo))
+    return (s1 @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
 
 
-@pytest.mark.parametrize("dx", [3.5, 3.499999650000035, -2.5, 1.25, 0.3, -0.7,
-                                0.001, -0.999, 7.5, 15.5])
+@pytest.mark.parametrize("dx", [0.0, 3.5, 3.499999650000035, -2.5, 1.25, 0.3,
+                                -0.7, 0.001, -0.999, 7.5, 15.5])
 def test_shifted_pair_average_csr_equals_the_product(dx):
     """Byte for byte the product's arrays, dtypes included, on every grid
     the shift fits (|2 dx| < 2 width), and build_shift's ValueError on the
-    others.  3.499999650000035 is the benchmark's far-field shift."""
+    others.  dx = 0 is sensor 1's S1, whose rows the product writes in
+    descending column order.  3.499999650000035 is the benchmark's
+    far-field shift."""
     for width, height in ((1, 1), (3, 2), (8, 4), (16, 16), (64, 64), (256, 256)):
         if abs(dx) < width:
-            assert_same_csr(_shifted_pair_average_matrix(dx, width, height),
+            assert_same_csr(build_sampling(dx, width, height),
                             shifted_pair_average_by_product(dx, width, height))
             continue
         with pytest.raises(ValueError) as want:
             shifted_pair_average_by_product(dx, width, height)
         with pytest.raises(ValueError, match="out of range") as got:
-            _shifted_pair_average_matrix(dx, width, height)
+            build_sampling(dx, width, height)
         assert str(got.value) == str(want.value)
 
 
@@ -973,6 +959,25 @@ def test_superres_output_is_double_width():
     # a constant scene should come back constant on the doubled grid
     interior = res.image[:, 8:-8]
     assert np.max(np.abs(interior - 0.4)) < 5e-3
+
+
+def test_superres_views_are_each_sensors_sampling_plus_its_strip():
+    """view_k is S(dx_k) applied to the double-width image plus strip k,
+    with dx_1 = 0 and dx_2 = dx, byte for byte."""
+    size, dx = 16, 3.5
+    masks = build_region_masks(dx, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(build_shift(dx, 0.0, size, size), v1) + np.where(
+        masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(256, 0.5, 3, pixel_count=size * size)
+    res = reconstruct_superres(measure(v1, spec), measure(v2, spec), spec,
+                               size, size, dx, SolverConfig(max_iters=5))
+    for view, dx_k, strip in ((res.view1, 0.0, res.disjoint1),
+                              (res.view2, dx, res.disjoint2)):
+        want = (build_sampling(dx_k, size, size) @ res.image.ravel()
+                ).reshape(size, size) + strip
+        assert view.dtype == want.dtype and view.shape == want.shape
+        assert view.tobytes() == want.tobytes()
 
 
 def test_superres_rejects_wrong_length_measurements():

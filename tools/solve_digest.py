@@ -37,11 +37,11 @@ the CSR arrays of six sparse operators:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
 with dy != 0 and a negative fractional shift, and the 64x64 superres
-pair-average sampling, (section `operators.superres`) superres's
-sensor-2 sampling S2 at the study shift on 64x64 and at the benchmark
-shift on 256x256, (section `tv`) tv_grad, tv_grad_adjoint and tv_shrink
-on one-row, one-column, empty, strided and transposed inputs with zeros
-of both signs, and (section `cli.experiment`) the report that
+sensor-1 sampling build_sampling(0, ...), (section `operators.superres`)
+superres's sensor-2 sampling build_sampling(dx, ...) at the study shift
+on 64x64 and at the benchmark shift on 256x256, (section `tv`) tv_grad,
+tv_grad_adjoint and tv_shrink on one-row, one-column, empty, strided and
+transposed inputs with zeros of both signs, and (section `cli.experiment`) the report that
 `mvlci experiment --which fig4` prints and the files it writes; 10-20 s
 on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
@@ -64,13 +64,11 @@ import numpy as np
 
 from mvlci.cli import main as cli_main
 from mvlci.experiments import run_measurement_increase, run_superres
-from mvlci.geometry import apply_shift, build_region_masks, build_shift
+from mvlci.geometry import apply_shift, build_region_masks, build_sampling, build_shift
 from mvlci.scene import CameraGeometry, make_test_scene, parallax_shift, render_view
 from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, select_rows
 from mvlci.solver import (
     SolverConfig,
-    _pair_average_matrix,
-    _shifted_pair_average_matrix,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -295,10 +293,10 @@ def _operators(d: _Digest) -> None:
         "shift.superres.512x256": build_shift(2.0 * dx_eff, 0.0, 512, 256).matrix,
         "shift.integer": build_shift(3.0, -2.0, 64, 64).matrix,
         "shift.negative": build_shift(-2.5, -1.25, 64, 48).matrix,
-        "pair_average.64": _pair_average_matrix(64, 64),
+        "pair_average.64": build_sampling(0.0, 64, 64),
     }
     s2 = {f"shifted_pair_average.{size}":
-          _shifted_pair_average_matrix(dx_eff, size, size) for size in (64, 256)}
+          build_sampling(dx_eff, size, size) for size in (64, 256)}
     for section, group in (("operators", mats), ("operators.superres", s2)):
         h = d.part(section)
         for name, mat in group.items():

@@ -240,8 +240,8 @@ def cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     outdir = Path(args.out)
     run = run_measurement_increase if args.which == "fig3" else run_superres
-    report = run(scene_seed=args.scene_seed, meas_seed=args.meas_seed,
-                 outdir=outdir)
+    report = run(scene_seed=args.scene_seed, meas_seed=args.meas_seed)
+    report.write(outdir)
     entries = _manifest_base("experiment", {
         "which": args.which, "scene_seed": args.scene_seed,
         "meas_seed": args.meas_seed, "out": outdir,

@@ -10,8 +10,9 @@ Two harnesses:
   sensors with a fractional-pixel offset and check that it beats linear
   upsampling of a single-sensor reconstruction.
 
-Every verdict is named and carries its measured margin, and reports are
-deterministic given the scene seed, measurement seed and solver config.
+Both solve with the default SolverConfig at their noise_sigma.  Every
+verdict is named and carries its measured margin, and reports are
+deterministic given the scene seed, measurement seed and noise level.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,9 @@ def psnr(reference: np.ndarray, candidate: np.ndarray,
          mask: np.ndarray | None = None) -> float:
     """Peak signal-to-noise ratio in dB for [0, 1] images.
 
-    Identical inputs return inf.  With a boolean mask, only the selected
-    pixels enter the mean squared error.
+    Identical inputs return inf.  With a mask, which must be boolean and
+    of the images' shape, only the selected pixels enter the mean squared
+    error.
     """
     a = np.asarray(reference, dtype=np.float64)
     b = np.asarray(candidate, dtype=np.float64)
@@ -57,6 +59,10 @@ def psnr(reference: np.ndarray, candidate: np.ndarray,
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
     if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != a.shape:
+            raise ValueError(f"mask must be boolean of shape {a.shape}, "
+                             f"got {mask.dtype} {mask.shape}")
         diff = diff[mask]
         if diff.size == 0:
             raise ValueError("mask selects no pixels")
@@ -218,9 +224,33 @@ def _far_views(kind: str, width: int, height: int, dx: float, scale: int,
 
 
 def _metrics(truth, recon, mask=None):
-    """PSNR/SSIM of a reconstruction clamped to the displayable range."""
+    """PSNR/SSIM of a reconstruction clamped to the displayable range.
+
+    The mask restricts PSNR only; SSIM is always over the whole image.
+    """
     rec = clamp01(recon)
     return psnr(truth, rec, mask), ssim(truth, rec)
+
+
+def _add_case(report, case, mode, sensors, rate, solve, score):
+    """Run `solve()`, timing that call alone, and append the case whose
+    (PSNR, SSIM) `score(result)` gives.  Returns (result, PSNR)."""
+    t0 = time.perf_counter()
+    res = solve()
+    wall_time_s = time.perf_counter() - t0
+    quality, similarity = score(res)
+    report.cases.append(CaseResult(case, mode, sensors, rate, quality,
+                                   similarity, res.iterations, wall_time_s))
+    return res, quality
+
+
+def _verdict(claim, passed, margin_db, detail, *operands):
+    """A named claim with its margin.  When there are operand PSNRs and
+    all are at least SATURATION_DB, the claim holds as a tie and the
+    detail ends in " (saturated)"."""
+    saturated = bool(operands) and min(operands) >= SATURATION_DB
+    return Verdict(claim, passed or saturated, margin_db,
+                   detail + (" (saturated)" if saturated else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +261,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
                              height: int = 64, dx: float = 3.5,
                              rate_low: float = 0.125, rate_high: float = 0.25,
                              scene_seed: int = 7, meas_seed: int = 42,
-                             noise_sigma: float = 0.0,
-                             cfg: SolverConfig | None = None,
-                             outdir=None) -> ExperimentReport:
+                             noise_sigma: float = 0.0) -> ExperimentReport:
     """Single-sensor low/high rate versus joint reconstruction at low rate.
 
     Renders the two views of a far test scene (sensor 2 offset by dx
@@ -256,7 +284,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
             "rate_high must be twice rate_low (or both 1.0 for the "
             f"degenerate full-rate run); got {rate_low}/{rate_high}"
         )
-    cfg = replace(cfg or SolverConfig(), noise_sigma=noise_sigma)
+    cfg = SolverConfig(noise_sigma=noise_sigma)
     # views at scene resolution; the margin only covers the shift
     _, views, dx_eff, _ = _far_views(kind, width, height, dx, 1, scene_seed)
     masks = build_region_masks(dx_eff, 0.0, width, height)
@@ -278,63 +306,43 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
     single = {}
     for rate, ms, tag in ((rate_low, low, "low"), (rate_high, high, "high")):
         for k, z in enumerate(ms.values, start=1):
-            t0 = time.perf_counter()
-            res = reconstruct_single(z, ms.spec, width, height, cfg)
-            dt = time.perf_counter() - t0
-            quality, similarity = _metrics(views[k - 1], res.image)
-            single[(tag, k)] = quality
-            report.cases.append(CaseResult(
-                case=f"single-{tag}-sensor{k}", mode="single", sensors=str(k),
-                rate=rate, psnr_db=quality, ssim=similarity,
-                iterations=res.iterations, wall_time_s=dt))
+            res, single[(tag, k)] = _add_case(
+                report, f"single-{tag}-sensor{k}", "single", str(k), rate,
+                lambda: reconstruct_single(z, ms.spec, width, height, cfg),
+                lambda r: _metrics(views[k - 1], r.image))
             report.images[f"single_{tag}_sensor{k}"] = res.image
 
-    t0 = time.perf_counter()
-    joint = reconstruct_joint(*low.values, low.spec, width, height, shift, masks, cfg)
-    dt = time.perf_counter() - t0
-    jq1, js1 = _metrics(views[0], joint.view1)
-    jq2, js2 = _metrics(views[1], joint.view2)
-    joint_psnr = 0.5 * (jq1 + jq2)
-    joint_ssim = 0.5 * (js1 + js2)
-    report.cases.append(CaseResult(
-        case="joint-low", mode="joint", sensors="1+2", rate=rate_low,
-        psnr_db=joint_psnr, ssim=joint_ssim, iterations=joint.iterations,
-        wall_time_s=dt))
+    def joint_metrics(r):
+        (q1, s1), (q2, s2) = _metrics(views[0], r.view1), _metrics(views[1], r.view2)
+        return 0.5 * (q1 + q2), 0.5 * (s1 + s2)
+
+    joint, joint_psnr = _add_case(
+        report, "joint-low", "joint", "1+2", rate_low,
+        lambda: reconstruct_joint(*low.values, low.spec, width, height,
+                                  shift, masks, cfg),
+        joint_metrics)
     report.images["joint_view1"] = joint.view1
     report.images["joint_view2"] = joint.view2
     report.images["joint_common"] = joint.common
 
-    def saturated(*quantities):
-        return min(quantities) >= SATURATION_DB
-
     margin_rate = min(single[("high", k)] - single[("low", k)] for k in (1, 2))
-    sat = saturated(*single.values())
-    report.verdicts.append(Verdict(
-        claim="rate-increase-helps", passed=margin_rate > 0.0 or sat,
-        margin_db=margin_rate,
-        detail=(f"high-low per sensor: "
-                f"{single[('high', 1)] - single[('low', 1)]:+.3f}, "
-                f"{single[('high', 2)] - single[('low', 2)]:+.3f}"
-                + (" (saturated)" if sat else ""))))
     margin_joint = min(joint_psnr - single[("low", k)] for k in (1, 2))
-    sat = saturated(joint_psnr, single[("low", 1)], single[("low", 2)])
-    report.verdicts.append(Verdict(
-        claim="joint-beats-single-low", passed=margin_joint > 0.0 or sat,
-        margin_db=margin_joint,
-        detail=(f"joint {joint_psnr:.3f} vs singles "
-                f"{single[('low', 1)]:.3f}/{single[('low', 2)]:.3f}"
-                + (" (saturated)" if sat else ""))))
     mean_high = 0.5 * (single[("high", 1)] + single[("high", 2)])
     gap = abs(joint_psnr - mean_high)
-    sat = saturated(joint_psnr, single[("high", 1)], single[("high", 2)])
-    report.verdicts.append(Verdict(
-        claim="joint-matches-single-high", passed=gap <= 1.5 or sat,
-        margin_db=1.5 - gap,
-        detail=(f"joint {joint_psnr:.3f} vs mean high {mean_high:.3f}"
-                + (" (saturated)" if sat else ""))))
-
-    if outdir is not None:
-        report.write(outdir)
+    report.verdicts += [
+        _verdict("rate-increase-helps", margin_rate > 0.0, margin_rate,
+                 f"high-low per sensor: "
+                 f"{single[('high', 1)] - single[('low', 1)]:+.3f}, "
+                 f"{single[('high', 2)] - single[('low', 2)]:+.3f}",
+                 *single.values()),
+        _verdict("joint-beats-single-low", margin_joint > 0.0, margin_joint,
+                 f"joint {joint_psnr:.3f} vs singles "
+                 f"{single[('low', 1)]:.3f}/{single[('low', 2)]:.3f}",
+                 joint_psnr, single[("low", 1)], single[("low", 2)]),
+        _verdict("joint-matches-single-high", gap <= 1.5, 1.5 - gap,
+                 f"joint {joint_psnr:.3f} vs mean high {mean_high:.3f}",
+                 joint_psnr, single[("high", 1)], single[("high", 2)]),
+    ]
     return report
 
 
@@ -344,9 +352,7 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
 
 def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
                  dx: float = 3.5, rate: float = 0.25, scene_seed: int = 7,
-                 meas_seed: int = 42, noise_sigma: float = 0.0,
-                 cfg: SolverConfig | None = None,
-                 outdir=None) -> ExperimentReport:
+                 meas_seed: int = 42, noise_sigma: float = 0.0) -> ExperimentReport:
     """Double-horizontal-resolution reconstruction versus upsampling.
 
     The scene is rendered at twice the aperture width, so each view is a
@@ -356,9 +362,13 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
       superres-beats-upsampled  high-res reconstruction beats linear
                                 upsampling of each single-sensor
                                 reconstruction on the common region
+
+    PSNR is taken on the common region only, but SSIM on the whole
+    high-res image, so each case's SSIM includes the strip columns (8 at
+    the default dx) that its PSNR leaves out.
     """
     check_fractional_dx(dx)
-    cfg = replace(cfg or SolverConfig(), noise_sigma=noise_sigma)
+    cfg = SolverConfig(noise_sigma=noise_sigma)
     scene, views, dx_eff, anchor = _far_views(kind, width, height, dx, 2,
                                               scene_seed)
 
@@ -388,36 +398,23 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
 
     upsampled = {}
     for k, z in enumerate(ms.values, start=1):
-        t0 = time.perf_counter()
-        res = reconstruct_single(z, ms.spec, width, height, cfg)
-        dt = time.perf_counter() - t0
-        up = upsample2x_horizontal(res.image)
-        quality, similarity = _metrics(truth_hr[k], up, common_hr[k])
-        upsampled[k] = quality
-        report.cases.append(CaseResult(
-            case=f"upsampled-single-sensor{k}", mode="single-upsampled",
-            sensors=str(k), rate=rate, psnr_db=quality,
-            ssim=similarity, iterations=res.iterations,
-            wall_time_s=dt))
-        report.images[f"upsampled_single_sensor{k}"] = up
+        res, upsampled[k] = _add_case(
+            report, f"upsampled-single-sensor{k}", "single-upsampled", str(k), rate,
+            lambda: reconstruct_single(z, ms.spec, width, height, cfg),
+            lambda r: _metrics(truth_hr[k], upsample2x_horizontal(r.image),
+                               common_hr[k]))
+        report.images[f"upsampled_single_sensor{k}"] = upsample2x_horizontal(res.image)
 
-    t0 = time.perf_counter()
-    sup = reconstruct_superres(*ms.values, ms.spec, width, height, dx_eff, cfg)
-    dt = time.perf_counter() - t0
-    sup_psnr, sup_ssim = _metrics(truth_hr[1], sup.image, common_hr[1])
-    report.cases.append(CaseResult(
-        case="superres-joint", mode="superres", sensors="1+2", rate=rate,
-        psnr_db=sup_psnr, ssim=sup_ssim,
-        iterations=sup.iterations, wall_time_s=dt))
+    sup, sup_psnr = _add_case(
+        report, "superres-joint", "superres", "1+2", rate,
+        lambda: reconstruct_superres(*ms.values, ms.spec, width, height,
+                                     dx_eff, cfg),
+        lambda r: _metrics(truth_hr[1], r.image, common_hr[1]))
     report.images["superres"] = sup.image
 
     margin = min(sup_psnr - upsampled[k] for k in (1, 2))
-    report.verdicts.append(Verdict(
-        claim="superres-beats-upsampled", passed=margin > 0.0,
-        margin_db=margin,
-        detail=(f"superres {sup_psnr:.3f} vs upsampled "
-                f"{upsampled[1]:.3f}/{upsampled[2]:.3f}")))
-
-    if outdir is not None:
-        report.write(outdir)
+    report.verdicts.append(_verdict(
+        "superres-beats-upsampled", margin > 0.0, margin,
+        f"superres {sup_psnr:.3f} vs upsampled "
+        f"{upsampled[1]:.3f}/{upsampled[2]:.3f}"))
     return report

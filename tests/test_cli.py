@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvlci.cli import build_parser, main
+from mvlci.experiments import CSV_HEADER
 from mvlci.pgm import read_pgm, write_pgm
 from mvlci.sensing import (MeasurementSet, SensingSpec, epsilon_for_noise,
                            read_mvm, select_rows, write_mvm)
@@ -592,6 +593,41 @@ def test_malformed_measurement_file_is_a_clean_runtime_error(colocated, tmp_path
 # ---------------------------------------------------------------------------
 # experiment and argparse behavior
 # ---------------------------------------------------------------------------
+
+EXPERIMENT_IMAGES = {
+    "fig3": ["truth_view1", "truth_view2", "single_low_sensor1",
+             "single_low_sensor2", "single_high_sensor1", "single_high_sensor2",
+             "joint_view1", "joint_view2", "joint_common"],
+    "fig4": ["truth_highres", "truth_view1", "truth_view2",
+             "upsampled_single_sensor1", "upsampled_single_sensor2", "superres"],
+}
+
+
+@pytest.mark.parametrize("which,case_rows", [("fig3", 5), ("fig4", 3)])
+def test_experiment_writes_report_manifest_and_images(tmp_path, capsys,
+                                                      which, case_rows):
+    out = tmp_path / which
+    assert main(["experiment", "--which", which, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == summary
+
+    manifest = read_manifest(out / "manifest.txt")
+    assert list(manifest) == ["command", "version", "which", "scene_seed",
+                              "meas_seed", "out", "verdicts", "wall_time_s"]
+    assert manifest["command"] == "experiment" and manifest["which"] == which
+    claims = re.findall(r"^  \[(PASS|FAIL)\] (\S+) ", summary, re.MULTILINE)
+    assert claims
+    assert manifest["verdicts"] == ",".join(f"{claim}:{state.lower()}"
+                                            for state, claim in claims)
+
+    rows = (out / "report.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert rows[0] == ",".join(CSV_HEADER)
+    assert len(rows) == 1 + case_rows
+
+    files = sorted(p.name for p in out.iterdir())
+    assert files == sorted(["manifest.txt", "report.csv", "summary.txt"]
+                           + [f"{name}.pgm" for name in EXPERIMENT_IMAGES[which]])
+
 
 def test_unknown_experiment_is_an_argparse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

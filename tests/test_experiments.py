@@ -1,15 +1,19 @@
 """Metrics, report plumbing and the two comparison experiments."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mvlci.experiments import (
     CSV_HEADER,
+    SATURATION_DB,
     CaseResult,
     ExperimentReport,
     Verdict,
+    _verdict,
     psnr,
     run_measurement_increase,
     run_superres,
@@ -60,6 +64,17 @@ def test_psnr_validates_inputs():
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
     with pytest.raises(ValueError, match="no pixels"):
         psnr(np.zeros((4, 4)), np.ones((4, 4)), np.zeros((4, 4), dtype=bool))
+    # an integer 0/1 mask would index rows, not select pixels
+    rows_1_to_3 = np.zeros((4, 4), dtype=int)
+    rows_1_to_3[1:] = 1
+    top_row_off = np.zeros((4, 4))
+    top_row_off[0] = 0.5
+    rows_1_to_3_bool = rows_1_to_3.astype(bool)
+    assert psnr(np.zeros((4, 4)), top_row_off, rows_1_to_3_bool) == math.inf
+    with pytest.raises(ValueError, match="boolean"):
+        psnr(np.zeros((4, 4)), top_row_off, rows_1_to_3)
+    with pytest.raises(ValueError, match="boolean"):
+        psnr(np.zeros((4, 4)), np.ones((4, 4)), np.ones((4, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +169,22 @@ def test_verdict_lookup():
         rep.verdict("missing")
 
 
+def test_verdict_saturates_only_when_every_operand_does():
+    at = _verdict("c", False, -0.25, "detail", SATURATION_DB, SATURATION_DB + 5.0)
+    assert at.passed and at.margin_db == -0.25
+    assert at.detail == "detail (saturated)"
+    assert _verdict("c", False, 0.0, "d", SATURATION_DB, SATURATION_DB).passed
+
+    below = _verdict("c", False, -0.25, "detail",
+                     SATURATION_DB + 5.0, SATURATION_DB - 0.001)
+    assert not below.passed and below.detail == "detail"
+    assert _verdict("c", True, 0.5, "d", SATURATION_DB - 0.001).passed
+
+    # with no operands (fig4's claim) only the margin decides
+    assert not _verdict("c", False, -0.25, "detail").passed
+    assert _verdict("c", False, -0.25, "detail").detail == "detail"
+
+
 def test_report_write_creates_files(tmp_path):
     sample_report().write(tmp_path / "out")
     assert (tmp_path / "out" / "report.csv").is_file()
@@ -168,7 +199,8 @@ def test_report_write_creates_files(tmp_path):
 def test_measurement_increase_structure_and_determinism(tmp_path):
     kwargs = dict(width=32, height=32, rate_low=0.125, rate_high=0.25,
                   scene_seed=7, meas_seed=42)
-    rep = run_measurement_increase(outdir=tmp_path / "fig", **kwargs)
+    rep = run_measurement_increase(**kwargs)
+    rep.write(tmp_path / "fig")
     assert [c.case for c in rep.cases] == [
         "single-low-sensor1", "single-low-sensor2",
         "single-high-sensor1", "single-high-sensor2", "joint-low",
@@ -186,6 +218,17 @@ def test_measurement_increase_structure_and_determinism(tmp_path):
         assert c1.psnr_db == c2.psnr_db
         assert c1.ssim == c2.ssim
         assert c1.iterations == c2.iterations
+
+
+def test_case_wall_time_is_the_solve_alone(monkeypatch):
+    """With a clock that ticks 1.0 per read, a case reads exactly 1.0 only
+    if the clock is read right before and right after the solve."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    fig3 = run_measurement_increase(width=16, height=16, rate_low=1.0,
+                                    rate_high=1.0)
+    fig4 = run_superres(width=16, height=16, rate=1.0)
+    assert [c.wall_time_s for c in fig3.cases + fig4.cases] == [1.0] * 8
 
 
 def test_measurement_increase_rejects_uneven_rates():
@@ -220,7 +263,8 @@ def test_measurement_increase_seed_changes_results():
 
 def test_superres_structure(tmp_path):
     rep = run_superres(width=32, height=32, rate=0.5, scene_seed=7,
-                       meas_seed=42, outdir=tmp_path / "sr")
+                       meas_seed=42)
+    rep.write(tmp_path / "sr")
     assert [c.case for c in rep.cases] == [
         "upsampled-single-sensor1", "upsampled-single-sensor2",
         "superres-joint",

@@ -146,6 +146,15 @@ class Verdict:
     margin_db: float
     detail: str = ""
 
+    @classmethod
+    def judge(cls, claim, passed, margin_db, detail, *operands):
+        """A named claim with its margin.  When there are operand PSNRs and
+        all are at least SATURATION_DB, the claim holds as a tie and the
+        detail ends in " (saturated)"."""
+        saturated = bool(operands) and min(operands) >= SATURATION_DB
+        return cls(claim, passed or saturated, margin_db,
+                   detail + (" (saturated)" if saturated else ""))
+
 
 @dataclass
 class ExperimentReport:
@@ -244,15 +253,6 @@ def _add_case(report, case, mode, sensors, rate, solve, score):
     return res, quality
 
 
-def _verdict(claim, passed, margin_db, detail, *operands):
-    """A named claim with its margin.  When there are operand PSNRs and
-    all are at least SATURATION_DB, the claim holds as a tie and the
-    detail ends in " (saturated)"."""
-    saturated = bool(operands) and min(operands) >= SATURATION_DB
-    return Verdict(claim, passed or saturated, margin_db,
-                   detail + (" (saturated)" if saturated else ""))
-
-
 # ---------------------------------------------------------------------------
 # measurement-increase comparison
 # ---------------------------------------------------------------------------
@@ -330,18 +330,18 @@ def run_measurement_increase(kind: str = "blocks", width: int = 64,
     mean_high = 0.5 * (single[("high", 1)] + single[("high", 2)])
     gap = abs(joint_psnr - mean_high)
     report.verdicts += [
-        _verdict("rate-increase-helps", margin_rate > 0.0, margin_rate,
-                 f"high-low per sensor: "
-                 f"{single[('high', 1)] - single[('low', 1)]:+.3f}, "
-                 f"{single[('high', 2)] - single[('low', 2)]:+.3f}",
-                 *single.values()),
-        _verdict("joint-beats-single-low", margin_joint > 0.0, margin_joint,
-                 f"joint {joint_psnr:.3f} vs singles "
-                 f"{single[('low', 1)]:.3f}/{single[('low', 2)]:.3f}",
-                 joint_psnr, single[("low", 1)], single[("low", 2)]),
-        _verdict("joint-matches-single-high", gap <= 1.5, 1.5 - gap,
-                 f"joint {joint_psnr:.3f} vs mean high {mean_high:.3f}",
-                 joint_psnr, single[("high", 1)], single[("high", 2)]),
+        Verdict.judge("rate-increase-helps", margin_rate > 0.0, margin_rate,
+                      f"high-low per sensor: "
+                      f"{single[('high', 1)] - single[('low', 1)]:+.3f}, "
+                      f"{single[('high', 2)] - single[('low', 2)]:+.3f}",
+                      *single.values()),
+        Verdict.judge("joint-beats-single-low", margin_joint > 0.0, margin_joint,
+                      f"joint {joint_psnr:.3f} vs singles "
+                      f"{single[('low', 1)]:.3f}/{single[('low', 2)]:.3f}",
+                      joint_psnr, single[("low", 1)], single[("low", 2)]),
+        Verdict.judge("joint-matches-single-high", gap <= 1.5, 1.5 - gap,
+                      f"joint {joint_psnr:.3f} vs mean high {mean_high:.3f}",
+                      joint_psnr, single[("high", 1)], single[("high", 2)]),
     ]
     return report
 
@@ -413,7 +413,7 @@ def run_superres(kind: str = "checker-text", width: int = 64, height: int = 64,
     report.images["superres"] = sup.image
 
     margin = min(sup_psnr - upsampled[k] for k in (1, 2))
-    report.verdicts.append(_verdict(
+    report.verdicts.append(Verdict.judge(
         "superres-beats-upsampled", margin > 0.0, margin,
         f"superres {sup_psnr:.3f} vs upsampled "
         f"{upsampled[1]:.3f}/{upsampled[2]:.3f}"))

@@ -31,7 +31,16 @@ The operator is normalized from its spectrum in closed form: for m rows
 eigenvalues N/4 (m - 2 times), N lam and N/(4 lam), where
 lam = (t + sqrt(t^2 - 1)) / 2 and t = 1 + m/4.
 
-Across an iteration the engine keeps x, the splits w = D x with their
+One solve is one Problem: its Components (each an image on a canvas,
+with a support mask and a TV weight), its Blocks (one sensor's equation
+each), the spec they are measured through and the SolverConfig.
+Problem.single, Problem.joint and Problem.superres build it from the
+arguments of the matching reconstruct_*, and Problem.solve runs the
+splitting on it.  Its linear pieces (vec, forward, adjoint, grad, normal
+and project) are public, so other consumers of the same D, E, A and
+operators need not rebuild them.
+
+Across an iteration the solve keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
 x.  The shrink, both multiplier updates, the right-hand side and the CG
 vectors are updated in place; the normal operator forms one component's
@@ -43,25 +52,27 @@ Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
 all-False one (a joint strip is as wide as the parallax shift).  x, the
 right-hand side, H x and the CG vectors are each one contiguous array
-laying every window end to end, used through a list of window views (a
-_Vec): an update, fill or scale is one call, while the dot products and
-the change in x sum window by window.  w, its multipliers and g are one
-(2, h, w) array per component.  The projection and the TV terms run on
-the window, the differences over its flattened rows, and the edge mask E
-zeroes every difference leaving it.  Only the data term needs canvases.
-Each block is one sensor's equation z = A(op B_through x + B_direct x),
+laying every window end to end, used through the list of window views
+that Problem.vec makes: an update, fill or scale is one call, while the
+dot products and the change in x sum window by window.  w, its
+multipliers and g are one (2, h, w) array per component.  The projection
+and the TV terms run on the window, the differences over its flattened
+rows, and the edge mask E zeroes every difference leaving it.  Only the
+data term needs canvases.
+
+Each Block is one sensor's equation z = A(op B_through x + B_direct x),
 with at most one operator: joint's shift U over c + d1, or superres's
-sampling S_k of the double-width image.  The block's image is composed in
-the work line of the engine's one Aperture, which holds the line and the
-transform's views and buffer for the whole solve: the windows seen
+sampling S_k of the double-width image.  The block's image is composed
+in the work line of the problem's one Aperture, which holds the line and
+the transform's views and buffer for the whole solve: the windows seen
 through the operator are added into the zeroed line, which the
-operator's product, a new array, then overwrites, the direct windows
-are added into that product, the padding past pixel_count is
-zeroed before each transform, and the adjoint, a view of the line, is
-cropped back to each window before the next transform.  A component
-whose window is the whole canvas is its own canvas, so single-view
-solves run the full-canvas operations unchanged.  The outputs are laid
-on zeroed canvases once, at return.
+operator's product, a new array, then overwrites, the direct windows are
+added into that product, the padding past pixel_count is zeroed before
+each transform, and the adjoint, a view of the line, is cropped back to
+each window before the next transform.  A component whose window is the
+whole canvas is its own canvas, so single-view solves run the
+full-canvas operations unchanged.  The outputs are laid on zeroed
+canvases once, at return.
 """
 
 from __future__ import annotations
@@ -213,14 +224,31 @@ def check_fractional_dx(dx: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared engine
+# the problem description and its solve
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Comp:
+class Component:
+    """One image component: a canvas of `shape`, zero off its support
+    `mask` (None for the whole canvas), with `weight` on its TV term.
+
+    Derived once: `window`, the support's bounding box, and its
+    `window_shape`; `full`, whether the window is the whole canvas;
+    `edges`, the bool mask E of TV differences interior to the support,
+    on the window; and `crop`, the mask on the window.  `edges` is None
+    for full support, where tv_grad already zeroes the replicate border,
+    and `crop` is None wherever the mask fills its window.
+
+    Differences that straddle the support boundary are excluded, so a
+    component pays no TV for the cliff between its content and the
+    zeroed-out remainder of the canvas.  Every difference off the
+    window, or leaving it, has an end outside the support and is
+    excluded, so the TV terms need only the window: its replicate
+    border stands in for the differences that leave it.
+    """
     shape: tuple
-    mask: np.ndarray | None   # bool (h, w) or None for full support
-    weight: float             # l1 weight on its TV term
+    mask: np.ndarray | None = None   # bool (h, w) or None for full support
+    weight: float = 1.0              # l1 weight on its TV term
 
     def __post_init__(self):
         # the support window: the bounding box of the mask, the full canvas
@@ -238,35 +266,20 @@ class _Comp:
         self.window_shape = tuple(s.stop - s.start for s in self.window)
         # a component whose window is the canvas is its own canvas
         self.full = self.window_shape == tuple(self.shape)
-
-    def edge_mask(self) -> np.ndarray | None:
-        """Bool mask of TV differences interior to the support, on the
-        support window; None for full support, where tv_grad already zeroes
-        the replicate border.
-
-        Differences that straddle the support boundary are excluded, so a
-        component pays no TV for the cliff between its content and the
-        zeroed-out remainder of the canvas.  Every difference off the
-        window, or leaving it, has an end outside the support and is
-        excluded, so the TV terms need only the window: its replicate
-        border stands in for the differences that leave it.
-        """
-        if self.mask is None:
-            return None
-        m = self.mask[self.window]
-        e = np.zeros((2,) + m.shape, dtype=bool)
-        e[0][:, :-1] = m[:, :-1] & m[:, 1:]
-        e[1][:-1, :] = m[:-1, :] & m[1:, :]
-        return e
-
-
-class _Vec(list):
-    """Component window arrays that are views of one contiguous array, held
-    as .flat, which lays the windows end to end."""
+        self.edges = self.crop = None
+        if self.mask is not None:
+            m = self.mask[self.window]
+            self.edges = np.zeros((2,) + m.shape, dtype=bool)
+            self.edges[0][:, :-1] = m[:, :-1] & m[:, 1:]
+            self.edges[1][:-1, :] = m[:-1, :] & m[1:, :]
+            # the cropped mask stays None where it fills the window (every
+            # mask but an L-shaped strip's), so projecting is a no-op
+            if not m.all():
+                self.crop = m
 
 
 @dataclass
-class _Block:
+class Block:
     """One sensor's equation z = A(op B_through x + B_direct x): the
     components in `through` are seen through the CSR operator op, those in
     `direct` as they are."""
@@ -276,14 +289,21 @@ class _Block:
     through: tuple = ()
 
 
-class _Engine:
-    """One augmented-Lagrangian TV solve over a list of image components,
-    with one block per sensor, all measured through the same spec."""
+class _Vec(list):
+    """Component window arrays that are views of one contiguous array, held
+    as .flat, which lays the windows end to end."""
 
-    def __init__(self, comps, blocks, spec: SensingSpec, cfg: SolverConfig):
+
+class Problem:
+    """One augmented-Lagrangian TV problem over a list of image components,
+    with one block per sensor, all measured through the same spec and
+    solved under cfg.  Problem.single, .joint and .superres build it from
+    the arguments that the matching reconstruct_* takes; solve() runs it."""
+
+    def __init__(self, spec: SensingSpec, comps, blocks, cfg: SolverConfig):
+        self.spec = spec
         self.comps = comps
         self.blocks = blocks
-        self.spec = spec
         self.cfg = cfg
         # With m rows, row 0 all-ones and pixel_count = order = N,
         # A = (H_S + 1 1^T)/2 and H_S H_S^T = N I: A^T A has eigenvalues N/4
@@ -303,24 +323,90 @@ class _Engine:
         self.radii = [epsilon_for_noise(cfg.noise_sigma, b.z)
                       if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
         self.eps = [r / self.scale for r in self.radii]
-        self.edges = [c.edge_mask() for c in comps]
         # each window's place in a _Vec's array
         ends = np.cumsum([0] + [math.prod(c.window_shape) for c in comps]).tolist()
         self.spans = list(zip(ends, ends[1:], [c.window_shape for c in comps]))
         self.size = ends[-1]
-        # each mask cropped to its window, None where it fills the window
-        # (every mask but an L-shaped strip's), so projecting is a no-op
-        self.masks = [None if c.mask is None or c.mask[c.window].all()
-                      else c.mask[c.window] for c in comps]
         # one work line for every transform of the solve
         self.aperture = Aperture(spec)
         # each block operator's transpose, taken once: op.T is a CSC view of
         # the CSR op that sums in the order a CSR copy of it would
         self.op_t = [None if b.op is None else b.op.T for b in blocks]
 
+    # -- builders -----------------------------------------------------------
+
+    @staticmethod
+    def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
+        """The measurement vectors of one solve as float64, each checked to
+        hold one value per selected row of a width x height image."""
+        if width < 1 or height < 1:
+            raise ValueError("width and height must be >= 1")
+        if width * height != spec.pixel_count:
+            raise ValueError("width*height must equal spec.pixel_count")
+        zs = [np.asarray(z, dtype=np.float64) for z in zs]
+        for z in zs:
+            if z.shape != (spec.count,):
+                raise ValueError(
+                    "measurement vectors must have the same length as the spec's "
+                    f"row count ({spec.count}), got shape {z.shape}")
+        return zs
+
+    @staticmethod
+    def _strips(masks: RegionMasks, cfg: SolverConfig) -> list:
+        """The two border-strip components, each weighted sigma / 2."""
+        return [Component(m.shape, m, float(cfg.sigma) / 2.0) for m in masks.disjoint]
+
+    # The builders take the arguments of the matching reconstruct_*.
+
+    @classmethod
+    def single(cls, z, spec, width, height, cfg=None):
+        """One full-canvas component and one block per measurement vector;
+        `z` is a vector or a non-empty (k, rows) stack."""
+        z = np.asarray(z, dtype=np.float64)
+        # a non-empty stack is checked row by row; anything else as one vector
+        zs = cls._measurements(spec, width, height,
+                               *(z if z.ndim == 2 and len(z) else [z]))
+        return cls(spec, [Component((height, width))],
+                   [Block(zrow, [0]) for zrow in zs], cfg or SolverConfig())
+
+    @classmethod
+    def joint(cls, z1, z2, spec, width, height, shift, masks, cfg=None):
+        """The common component and the two strips, with sensor 2's block
+        seeing the first view through the shift."""
+        cfg = cfg or SolverConfig()
+        z1, z2 = cls._measurements(spec, width, height, z1, z2)
+        if (shift.width, shift.height) != (width, height):
+            raise ValueError("shift dimensions disagree with the image size")
+        if masks.common.shape != (height, width):
+            raise ValueError("mask dimensions disagree with the image size")
+        if (shift.dx, shift.dy) != (masks.dx, masks.dy):
+            raise ValueError("shift and masks were built for different offsets")
+        comps = [Component((height, width), masks.common), *cls._strips(masks, cfg)]
+        # Sensor 2 sees the first view shifted: for integer dx the shift of
+        # I_D1 falls outside the grid and the constraint reduces to the usual
+        # A(U I_C + I_D2) = z2, but for fractional dx the boundary column of
+        # I_D1 leaks half a tap into the last common column of view 2, so the
+        # shift is routed over I_C + I_D1 to keep the model exact.
+        blocks = [Block(z1, [0, 1]), Block(z2, [2], shift.matrix, [0, 1])]
+        return cls(spec, comps, blocks, cfg)
+
+    @classmethod
+    def superres(cls, z1, z2, spec, width, height, dx, cfg=None):
+        """The double-width image and the two strips, each sensor's block
+        seeing the image through its sampling S(dx_k), dx_1 = 0 and dx_2 = dx;
+        a dx that is not strictly fractional raises ValueError."""
+        cfg = cfg or SolverConfig()
+        z1, z2 = cls._measurements(spec, width, height, z1, z2)
+        check_fractional_dx(dx)
+        masks = build_region_masks(dx, 0.0, width, height)
+        comps = [Component((height, 2 * width)), *cls._strips(masks, cfg)]
+        blocks = [Block(z1, [1], build_sampling(0.0, width, height), [0]),
+                  Block(z2, [2], build_sampling(dx, width, height), [0])]
+        return cls(spec, comps, blocks, cfg)
+
     # -- linear pieces ------------------------------------------------------
 
-    def _vec(self, flat=None):
+    def vec(self, flat=None):
         """The window views of `flat` (a new array by default) as a _Vec."""
         if flat is None:
             flat = np.empty(self.size)
@@ -345,7 +431,7 @@ class _Engine:
         for ci in cis:
             canvas[self.comps[ci].window] += xl[ci]
 
-    def _forward(self, xl, bi):
+    def forward(self, xl, bi):
         """A_bar applied to the composed image of block bi, composed in the
         aperture's line: the operator's product, if the block has one, with
         the direct components added into it.  The product is a new array,
@@ -364,7 +450,7 @@ class _Engine:
         z /= self.scale
         return z
 
-    def _backward(self, r, bi, out, factor):
+    def adjoint(self, r, bi, out, factor):
         """Accumulate factor * (A_bar B)^T r into the component list `out`."""
         b = self.blocks[bi]
         g = self.aperture.adjoint(r)    # a view of the line
@@ -380,29 +466,25 @@ class _Engine:
                 c = self.comps[ci]
                 out[ci] += v.reshape(c.shape)[c.window]
 
-    def _forwards(self, xl):
-        """A_bar B_b x for every block b."""
-        return [self._forward(xl, bi) for bi in range(len(self.blocks))]
-
-    def _grad(self, x, ci):
+    def grad(self, x, ci):
         """E_c D x_c: component ci's masked TV differences on its window."""
-        g, e = tv_grad(x), self.edges[ci]
+        g, e = tv_grad(x), self.comps[ci].edges
         return g if e is None else np.multiply(g, e, out=g)
 
-    def _normal(self, xl, mu, g=None, fwd=None, out=None):
+    def normal(self, xl, mu, g=None, fwd=None, out=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
         written over the _Vec `out` or a new one.  Each E_c D x_c and
         A_bar B_b x is dropped once taken back through its adjoint, and a
         fresh E_c D x_c is formed one direction at a time; a caller that
         carries them for this x passes them as g, fwd."""
         if out is None:
-            out = self._vec()
+            out = self.vec()
         out.flat.fill(0.0)
         for ci, (x, h) in enumerate(zip(xl, out)):
             if g is not None:
                 _tv_adjoint(g[ci], h)
                 continue
-            d, e = np.empty(x.shape), self.edges[ci]
+            d, e = np.empty(x.shape), self.comps[ci].edges
             for k in (0, 1):
                 dk = _diff(x, k, d)
                 if e is not None:
@@ -412,22 +494,23 @@ class _Engine:
                 _diff_adjoint(dk, k, h)
         out.flat *= mu
         for bi in range(len(self.blocks)):
-            self._backward(self._forward(xl, bi) if fwd is None else fwd[bi],
-                           bi, out, mu)
-        self._project(out)
+            self.adjoint(self.forward(xl, bi) if fwd is None else fwd[bi],
+                         bi, out, mu)
+        self.project(out)
         return out
 
-    def _project(self, xl):
-        for m, x in zip(self.masks, xl):
-            if m is not None:
-                x *= m
+    def project(self, xl):
+        """Zero each component off its support, in place."""
+        for c, x in zip(self.comps, xl):
+            if c.crop is not None:
+                x *= c.crop
 
     def _dot(self, al, bl):
         return sum(float(np.dot(a.ravel(), b.ravel())) for a, b in zip(al, bl))
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self):
+    def solve(self):
         """Solve; returns the component images and a result carrying every
         field but the mode-specific images."""
         cfg = self.cfg
@@ -436,21 +519,21 @@ class _Engine:
         cap = PENALTY * CONTINUATION_CAP
 
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
-        # the flat (mean-intensity) part at image scale; _backward already
+        # the flat (mean-intensity) part at image scale; adjoint already
         # divides by scale^2 = ||A||^2 / order, so correct by 1/order
-        xl = self._vec(np.zeros(self.size))
+        xl = self.vec(np.zeros(self.size))
         for bi in range(nb):
-            self._backward(self.zbar[bi], bi, xl, 1.0)
+            self.adjoint(self.zbar[bi], bi, xl, 1.0)
         xl.flat /= float(self.spec.order)
-        self._project(xl)
+        self.project(xl)
 
         # g = E D x and fwd = A_bar B x are taken once per new x and carried
         # to all their uses: the multiplier update and the objective, then
         # the next shrink, the next fidelity targets and the next CG's
         # warm-start residual.  Each use sees the same bits it would get by
         # recomputing the product on the same x.
-        g = [self._grad(x, ci) for ci, x in enumerate(xl)]
-        fwd = self._forwards(xl)
+        g = [self.grad(x, ci) for ci, x in enumerate(xl)]
+        fwd = [self.forward(xl, bi) for bi in range(nb)]
         wl = [np.empty_like(gc) for gc in g]      # splits w = D x
         ll = [np.zeros_like(gc) for gc in g]      # multipliers for D x = w
         nu = [np.zeros_like(z) for z in self.zbar]  # multipliers for A x = z
@@ -482,28 +565,28 @@ class _Engine:
             # are dropped before the right-hand side is formed, and the
             # residual is written over H x; rhs is dropped before CG runs
             x_prev_norm = math.sqrt(self._dot(xl, xl))
-            r0 = self._normal(xl, mu, g, fwd)
+            r0 = self.normal(xl, mu, g, fwd)
             g = fwd = None
-            rhs = self._vec(np.zeros(self.size))
+            rhs = self.vec(np.zeros(self.size))
             for ci in range(len(rhs)):    # no loop name left holding rhs
                 _tv_adjoint(wl[ci] - ll[ci] / mu, rhs[ci])
             rhs.flat *= mu
             for bi in range(nb):
-                self._backward(targets[bi] - nu[bi] / mu, bi, rhs, mu)
-            self._project(rhs)
+                self.adjoint(targets[bi] - nu[bi] / mu, bi, rhs, mu)
+            self.project(rhs)
             np.subtract(rhs.flat, r0.flat, out=r0.flat)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
             rhs = None
             x_old = xl    # _cg iterates on copies
             xl = self._cg(xl, r0, target, mu)
-            self._project(xl)
+            self.project(xl)
 
             if not np.isfinite(xl.flat).all():
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
             # dual updates (wl is scratch until the next shrink)
-            fwd = self._forwards(xl)
-            g = [self._grad(x, ci) for ci, x in enumerate(xl)]
+            fwd = [self.forward(xl, bi) for bi in range(nb)]
+            g = [self.grad(x, ci) for ci, x in enumerate(xl)]
             for bi in range(nb):
                 nu[bi] += mu * (fwd[bi] - targets[bi])
             for ci, w in enumerate(wl):
@@ -545,14 +628,14 @@ class _Engine:
     def _cg(self, x0, r0, target, mu):
         """Conjugate gradients for H x = rhs at penalty mu from x0 until the
         residual norm is at most `target`; r0 = rhs - H x0 is updated in place."""
-        xl, rl = self._vec(x0.flat.copy()), r0
-        pl, hp = self._vec(r0.flat.copy()), self._vec()    # hp: H p, every step
+        xl, rl = self.vec(x0.flat.copy()), r0
+        pl, hp = self.vec(r0.flat.copy()), self.vec()    # hp: H p, every step
         x, r, p, h = xl.flat, rl.flat, pl.flat, hp.flat
         rs = self._dot(rl, rl)
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
-            self._normal(pl, mu, out=hp)
+            self.normal(pl, mu, out=hp)
             denom = self._dot(pl, hp)
             if denom <= 0.0:
                 break
@@ -571,20 +654,6 @@ class _Engine:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
-    """The measurement vectors of one solve as float64, each checked to
-    hold one value per selected row."""
-    if width * height != spec.pixel_count:
-        raise ValueError("width*height must equal spec.pixel_count")
-    zs = [np.asarray(z, dtype=np.float64) for z in zs]
-    for z in zs:
-        if z.shape != (spec.count,):
-            raise ValueError(
-                "measurement vectors must have the same length as the spec's "
-                f"row count ({spec.count}), got shape {z.shape}")
-    return zs
-
-
 def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int,
                        cfg: SolverConfig | None = None) -> ReconstructionResult:
     """TV reconstruction of one view from its measurements.
@@ -593,13 +662,7 @@ def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int
     from the same image with the same spec; each stacked vector adds an
     independent fidelity constraint.
     """
-    cfg = cfg or SolverConfig()
-    z = np.asarray(z, dtype=np.float64)
-    # a non-empty stack is checked row by row; anything else as one vector
-    zs = _measurements(spec, width, height, *(z if z.ndim == 2 and len(z) else [z]))
-    comps = [_Comp((height, width), None, 1.0)]
-    blocks = [_Block(zrow, [0]) for zrow in zs]
-    (image,), res = _Engine(comps, blocks, spec, cfg).run()
+    (image,), res = Problem.single(z, spec, width, height, cfg).solve()
     res.image = image
     return res
 
@@ -613,29 +676,8 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     Both sensors record the same displayed pattern sequence, so one spec
     covers both measurement vectors.
     """
-    cfg = cfg or SolverConfig()
-    z1, z2 = _measurements(spec, width, height, z1, z2)
-    if (shift.width, shift.height) != (width, height):
-        raise ValueError("shift dimensions disagree with the image size")
-    if masks.common.shape != (height, width):
-        raise ValueError("mask dimensions disagree with the image size")
-    if (shift.dx, shift.dy) != (masks.dx, masks.dy):
-        raise ValueError("shift and masks were built for different offsets")
-    comps = [
-        _Comp((height, width), masks.common, 1.0),
-        _Comp((height, width), masks.disjoint[0], float(cfg.sigma) / 2.0),
-        _Comp((height, width), masks.disjoint[1], float(cfg.sigma) / 2.0),
-    ]
-    # Sensor 2 sees the first view shifted: for integer dx the shift of
-    # I_D1 falls outside the grid and the constraint reduces to the usual
-    # A(U I_C + I_D2) = z2, but for fractional dx the boundary column of
-    # I_D1 leaks half a tap into the last common column of view 2, so the
-    # shift is routed over I_C + I_D1 to keep the model exact.
-    blocks = [
-        _Block(z1, [0, 1]),
-        _Block(z2, [2], shift.matrix, [0, 1]),
-    ]
-    (common, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
+    problem = Problem.joint(z1, z2, spec, width, height, shift, masks, cfg)
+    (common, d1, d2), res = problem.solve()
     res.common, res.disjoint1, res.disjoint2 = common, d1, d2
     res.view1 = common + d1
     res.view2 = apply_shift(shift, res.view1) + d2
@@ -652,22 +694,10 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     pixels is a 7-pixel high-res shift).  Integer or non-finite dx raises
     ValueError.
     """
-    cfg = cfg or SolverConfig()
-    z1, z2 = _measurements(spec, width, height, z1, z2)
-    check_fractional_dx(dx)
-    masks = build_region_masks(dx, 0.0, width, height)
-    s1, s2 = build_sampling(0.0, width, height), build_sampling(dx, width, height)
-    comps = [
-        _Comp((height, 2 * width), None, 1.0),
-        _Comp((height, width), masks.disjoint[0], float(cfg.sigma) / 2.0),
-        _Comp((height, width), masks.disjoint[1], float(cfg.sigma) / 2.0),
-    ]
-    blocks = [
-        _Block(z1, [1], s1, [0]),
-        _Block(z2, [2], s2, [0]),
-    ]
-    (hr, d1, d2), res = _Engine(comps, blocks, spec, cfg).run()
+    problem = Problem.superres(z1, z2, spec, width, height, dx, cfg)
+    (hr, d1, d2), res = problem.solve()
     res.image, res.disjoint1, res.disjoint2 = hr, d1, d2
-    res.view1 = (s1 @ hr.ravel()).reshape(height, width) + d1
-    res.view2 = (s2 @ hr.ravel()).reshape(height, width) + d2
+    # each view is its sensor's sampling of hr plus its strip
+    res.view1, res.view2 = ((b.op @ hr.ravel()).reshape(height, width) + d
+                            for b, d in zip(problem.blocks, (d1, d2)))
     return res

@@ -13,7 +13,6 @@ from mvlci.experiments import (
     CaseResult,
     ExperimentReport,
     Verdict,
-    _verdict,
     psnr,
     run_measurement_increase,
     run_superres,
@@ -170,19 +169,19 @@ def test_verdict_lookup():
 
 
 def test_verdict_saturates_only_when_every_operand_does():
-    at = _verdict("c", False, -0.25, "detail", SATURATION_DB, SATURATION_DB + 5.0)
+    at = Verdict.judge("c", False, -0.25, "detail", SATURATION_DB, SATURATION_DB + 5.0)
     assert at.passed and at.margin_db == -0.25
     assert at.detail == "detail (saturated)"
-    assert _verdict("c", False, 0.0, "d", SATURATION_DB, SATURATION_DB).passed
+    assert Verdict.judge("c", False, 0.0, "d", SATURATION_DB, SATURATION_DB).passed
 
-    below = _verdict("c", False, -0.25, "detail",
-                     SATURATION_DB + 5.0, SATURATION_DB - 0.001)
+    below = Verdict.judge("c", False, -0.25, "detail",
+                          SATURATION_DB + 5.0, SATURATION_DB - 0.001)
     assert not below.passed and below.detail == "detail"
-    assert _verdict("c", True, 0.5, "d", SATURATION_DB - 0.001).passed
+    assert Verdict.judge("c", True, 0.5, "d", SATURATION_DB - 0.001).passed
 
     # with no operands (fig4's claim) only the margin decides
-    assert not _verdict("c", False, -0.25, "detail").passed
-    assert _verdict("c", False, -0.25, "detail").detail == "detail"
+    assert not Verdict.judge("c", False, -0.25, "detail").passed
+    assert Verdict.judge("c", False, -0.25, "detail").detail == "detail"
 
 
 def test_report_write_creates_files(tmp_path):

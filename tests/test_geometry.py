@@ -8,7 +8,6 @@ from scipy import sparse
 
 from mvlci.geometry import (
     RegionMasks,
-    _axis_taps,
     apply_shift,
     build_region_masks,
     build_shift,
@@ -92,11 +91,26 @@ def test_non_finite_shift_raises(dx, dy):
         build_region_masks(dx, dy, 16, 8)
 
 
+def loop_axis_taps(src, size):
+    """Each output's two bilinear taps along one axis, element by element:
+    floor(s) and floor(s) + 1 with weights 1 - frac and frac, and weight 0
+    (index 0) for a tap off the grid."""
+    taps = np.zeros((len(src), 2), dtype=np.int64)
+    weights = np.zeros((len(src), 2))
+    for i, s in enumerate(src):
+        i0 = math.floor(s)
+        frac = s - i0
+        for k, (t, w) in enumerate(((i0, 1.0 - frac), (i0 + 1, frac))):
+            if 0 <= t < size:
+                taps[i, k], weights[i, k] = t, w
+    return taps, weights
+
+
 def coo_build_shift_matrix(dx, dy, width, height):
     """build_shift's matrix assembled as COO triplets and converted to CSR,
     the reference that the direct CSR assembly must match array for array."""
-    xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
-    yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
+    xt, xw = loop_axis_taps(np.arange(width, dtype=np.float64) - dx, width)
+    yt, yw = loop_axis_taps(np.arange(height, dtype=np.float64) - dy, height)
     n = width * height
     rows_idx = []
     cols_idx = []

@@ -1,4 +1,4 @@
-"""TV pieces, the augmented-Lagrangian engine and the reconstruction APIs."""
+"""TV pieces, the problem description and its solve, and the reconstruction APIs."""
 
 import math
 import tracemalloc
@@ -20,10 +20,10 @@ from mvlci.sensing import (
 )
 from mvlci.solver import (
     PENALTY,
+    Block,
+    Component,
+    Problem,
     SolverConfig,
-    _Block,
-    _Comp,
-    _Engine,
     reconstruct_joint,
     reconstruct_single,
     reconstruct_superres,
@@ -214,12 +214,11 @@ def dense_norm_sq(spec):
     return np.linalg.norm((h + 1.0) / 2.0, 2) ** 2
 
 
-def engine_norm_sq(spec):
-    """The ||A||^2 a one-block engine is scaled by: scale^2 * order."""
-    engine = _Engine([_Comp((1, spec.pixel_count), None, 1.0)],
-                     [_Block(np.zeros(spec.count), [0])], spec,
-                     SolverConfig())
-    return engine.scale ** 2 * spec.order
+def problem_norm_sq(spec):
+    """The ||A||^2 a one-block problem is scaled by: scale^2 * order."""
+    problem = Problem(spec, [Component((1, spec.pixel_count))],
+                      [Block(np.zeros(spec.count), [0])], SolverConfig())
+    return problem.scale ** 2 * spec.order
 
 
 @pytest.mark.parametrize("order", [16, 64, 256, 1024])
@@ -228,14 +227,14 @@ def test_closed_form_norm_is_the_dense_norm_on_a_full_image(order):
         for seed in (0, 44):
             spec = make_spec(order, rate, seed, pixel_count=order)
             dense = dense_norm_sq(spec)
-            assert abs(engine_norm_sq(spec) - dense) <= 1e-12 * dense, (rate, seed)
+            assert abs(problem_norm_sq(spec) - dense) <= 1e-12 * dense, (rate, seed)
 
 
 @pytest.mark.parametrize("order,rate", [(4096, 0.125), (4096, 0.25)])
 def test_closed_form_norm_is_the_power_iteration_at_bench_specs(order, rate):
     spec = make_spec(order, rate, 42, pixel_count=order)
     power = power_iteration(spec)
-    assert abs(engine_norm_sq(spec) - power) <= 1e-14 * power
+    assert abs(problem_norm_sq(spec) - power) <= 1e-14 * power
 
 
 # (order, rate, seed, pixel_count) with the image filling the order, where
@@ -250,17 +249,17 @@ NORM_SPECS = [
 
 
 @pytest.mark.parametrize("order,rate,seed,pixels", NORM_SPECS)
-def test_estimate_norm_sq_is_bit_identical_to_the_full_loop(order, rate, seed, pixels):
-    """The engine's closed-form ||A||^2 against all 30 steps of the power
+def test_closed_form_norm_is_within_4_ulps_of_the_power_loop(order, rate, seed, pixels):
+    """The problem's closed-form ||A||^2 against all 30 steps of the power
     loop: within 4 ulps, the last ulps the two roundings leave."""
     spec = make_spec(order, rate, seed, pixel_count=pixels)
     power = power_iteration(spec)
-    assert abs(engine_norm_sq(spec) - power) <= 4 * np.spacing(power)
+    assert abs(problem_norm_sq(spec) - power) <= 4 * np.spacing(power)
 
 
 @pytest.mark.parametrize("rate,seed", [(0.125, 42), (0.25, 43)])
 def test_closed_form_norm_at_65536_takes_no_transform(monkeypatch, rate, seed):
-    """The benchmark's 256x256 specs: the engine's closed-form scale takes
+    """The benchmark's 256x256 specs: the problem's closed-form scale takes
     no transform at all, and matches the full power loop within 4 ulps."""
     spec = make_spec(65536, rate, seed, pixel_count=65536)
     calls = []
@@ -271,7 +270,7 @@ def test_closed_form_norm_at_65536_takes_no_transform(monkeypatch, rate, seed):
         return fwht(x)
 
     monkeypatch.setattr(sensing, "fwht", counting_fwht)
-    value = engine_norm_sq(spec)
+    value = problem_norm_sq(spec)
     assert calls == []
     monkeypatch.undo()
     power = power_iteration(spec)
@@ -283,22 +282,22 @@ def test_closed_form_norm_is_close_on_a_padded_image():
     pixel_count = order, and stays within 0.1% here."""
     spec = make_spec(4096, 0.125, 42, pixel_count=60 * 60)
     dense = dense_norm_sq(spec)
-    assert abs(engine_norm_sq(spec) - dense) <= 1e-3 * dense
+    assert abs(problem_norm_sq(spec) - dense) <= 1e-3 * dense
 
 
 # ---------------------------------------------------------------------------
-# engine internals
+# the problem's linear pieces
 # ---------------------------------------------------------------------------
 
-def fidelity_value_grad(engine, xl):
+def fidelity_value_grad(problem, xl):
     """Value and gradient of 1/2 sum_b ||A_bar B x - z_bar||^2, built from
-    the engine's forward and backward operators."""
-    grad = [np.zeros(c.shape) for c in engine.comps]
+    the problem's forward and adjoint operators."""
+    grad = [np.zeros(c.shape) for c in problem.comps]
     value = 0.0
-    for bi in range(len(engine.blocks)):
-        r = engine._forward(xl, bi) - engine.zbar[bi]
+    for bi in range(len(problem.blocks)):
+        r = problem.forward(xl, bi) - problem.zbar[bi]
         value += 0.5 * float(np.dot(r, r))
-        engine._backward(r, bi, grad, 1.0)
+        problem.adjoint(r, bi, grad, 1.0)
     return value, grad
 
 
@@ -306,10 +305,9 @@ def test_fidelity_gradient_passes_finite_difference_check():
     spec = make_spec(64, 0.5, 5, pixel_count=64)
     rng = np.random.default_rng(5)
     z = measure(rng.uniform(size=64), spec)
-    comps = [_Comp((8, 8), None, 1.0)]
-    engine = _Engine(comps, [_Block(z, [0])], spec, SolverConfig())
+    problem = Problem(spec, [Component((8, 8))], [Block(z, [0])], SolverConfig())
     x = [rng.standard_normal((8, 8))]
-    _, grad = fidelity_value_grad(engine, x)
+    _, grad = fidelity_value_grad(problem, x)
     h = 1e-6
     worst = 0.0
     for (i, j) in [(0, 0), (3, 4), (7, 7), (2, 6), (5, 1), (6, 3)]:
@@ -317,35 +315,16 @@ def test_fidelity_gradient_passes_finite_difference_check():
         xm = [x[0].copy()]
         xp[0][i, j] += h
         xm[0][i, j] -= h
-        fp, _ = fidelity_value_grad(engine, xp)
-        fm, _ = fidelity_value_grad(engine, xm)
+        fp, _ = fidelity_value_grad(problem, xp)
+        fm, _ = fidelity_value_grad(problem, xm)
         fd = (fp - fm) / (2 * h)
         worst = max(worst, abs(fd - grad[0][i, j]) / max(1.0, abs(fd)))
     assert worst < 1e-5
 
 
-class _Built(Exception):
-    pass
-
-
-def built_engine(monkeypatch, solve):
-    """The _Engine that a reconstruct_* call builds, taken before it runs."""
-    engines = []
-
-    def capture(self):
-        engines.append(self)
-        raise _Built
-
-    with monkeypatch.context() as m:
-        m.setattr(_Engine, "run", capture)
-        with pytest.raises(_Built):
-            solve()
-    return engines[0]
-
-
 def float_edge_mask(comp):
     """E as a float64 0/1 array for every component, full support included:
-    the plain form that the engine's bool masks (None for full support)
+    the plain form that a Component's bool edges (None for full support)
     must reproduce bit for bit."""
     e = np.ones((2,) + comp.shape)
     e[0][:, -1] = 0.0
@@ -357,11 +336,10 @@ def float_edge_mask(comp):
     return e
 
 
-def assembled_normal(engine, xl, mu):
-    """H x assembled from whole full-canvas lists, as _normal(_grads(x),
-    _forwards(x), mu) did: every masked gradient and every block's forward
-    product first, then mu D^T g, then each block's adjoint through a CSR
-    copy of its operator's transpose.  A block's image is its operator
+def assembled_normal(problem, xl, mu):
+    """H x assembled from whole full-canvas lists: every masked gradient
+    and every block's forward product first, then mu D^T g, then each
+    block's adjoint through a CSR copy of its operator's transpose.  A block's image is its operator
     applied once to the sum of the components behind it, plus the sum of
     its direct components, as in A (U(c + d1) + d2).  Returns H x, the
     gradients and the forwards."""
@@ -371,40 +349,39 @@ def assembled_normal(engine, xl, mu):
             u = u + xl[ci].ravel()
         return u
 
-    gl = [float_edge_mask(c) * tv_grad(x) for c, x in zip(engine.comps, xl)]
+    gl = [float_edge_mask(c) * tv_grad(x) for c, x in zip(problem.comps, xl)]
     fl = []
-    for b in engine.blocks:
+    for b in problem.blocks:
         img = summed(b.direct)
         if b.op is not None:
             img = b.op @ summed(b.through) + img
-        fl.append(measure(img, engine.spec) / engine.scale)
+        fl.append(measure(img, problem.spec) / problem.scale)
     out = [mu * tv_grad_adjoint(g) for g in gl]
-    for b, f in zip(engine.blocks, fl):
-        g = measure_adjoint(f, engine.spec) / engine.scale
+    for b, f in zip(problem.blocks, fl):
+        g = measure_adjoint(f, problem.spec) / problem.scale
         views = [(ci, g) for ci in b.direct]
         if b.op is not None:
             views += [(ci, b.op.T.tocsr() @ g) for ci in b.through]
         for ci, v in views:
-            out[ci] += mu * v.reshape(engine.comps[ci].shape)
-    for c, x in zip(engine.comps, out):
+            out[ci] += mu * v.reshape(problem.comps[ci].shape)
+    for c, x in zip(problem.comps, out):
         if c.mask is not None:
             x *= c.mask
     return out, gl, fl
 
 
 def normal_case(mode, dx, dy):
-    """A reconstruct_* call on a 16x16 problem, for built_engine; single
+    """The Problem a reconstruct_* call on a 16x16 image builds; single
     mode stacks two vectors."""
     spec = make_spec(256, 0.5, 11, pixel_count=256)
     z = np.zeros(spec.count)
     if mode == "single":
-        return lambda: reconstruct_single(np.stack([z, z]), spec, 16, 16)
+        return Problem.single(np.stack([z, z]), spec, 16, 16)
     if mode == "superres":
-        return lambda: reconstruct_superres(z, z, spec, 16, 16, dx)
+        return Problem.superres(z, z, spec, 16, 16, dx)
     masks = build_region_masks(dx, dy, 16, 16)
     shift = build_shift(dx, dy, 16, 16)
-    return lambda: reconstruct_joint(z, z, spec, 16, 16, shift, masks,
-                                     SolverConfig(sigma=1.0))
+    return Problem.joint(z, z, spec, 16, 16, shift, masks, SolverConfig(sigma=1.0))
 
 
 @pytest.mark.parametrize("mode,dx,dy", [
@@ -412,47 +389,47 @@ def normal_case(mode, dx, dy):
     ("joint", 3.0, -2.0), ("joint", 0.0, 0.0), ("superres", 3.5, 0.0),
     ("superres", -2.5, 0.0),
 ])
-def test_streamed_normal_is_bytewise_the_assembled_one(monkeypatch, mode, dx, dy):
-    """_normal, fresh, from carried products and written over a dirty list,
-    gives the assembled operator cropped to each support window; _forwards
-    gives the assembled products and _grad the assembled gradient on each
+def test_streamed_normal_is_bytewise_the_assembled_one(mode, dx, dy):
+    """normal, fresh, from carried products and written over a dirty list,
+    gives the assembled operator cropped to each support window; forward
+    gives the assembled products and grad the assembled gradient on each
     window.  The assembled operator runs on each window laid on a zeroed
     canvas."""
-    engine = built_engine(monkeypatch, normal_case(mode, dx, dy))
+    problem = normal_case(mode, dx, dy)
     rng = np.random.default_rng(4)
     for mu in (PENALTY, 3.0 * PENALTY):
-        xl = [signed_zeros(rng, c.window_shape) for c in engine.comps]
-        canvases = [np.zeros(c.shape) for c in engine.comps]
-        for c, x, canvas in zip(engine.comps, xl, canvases):
+        xl = [signed_zeros(rng, c.window_shape) for c in problem.comps]
+        canvases = [np.zeros(c.shape) for c in problem.comps]
+        for c, x, canvas in zip(problem.comps, xl, canvases):
             canvas[c.window] = x
-        want, gl, fl = assembled_normal(engine, canvases, mu)
-        want = [w[c.window] for c, w in zip(engine.comps, want)]
-        g = [engine._grad(x, ci) for ci, x in enumerate(xl)]
-        fwd = engine._forwards(xl)
+        want, gl, fl = assembled_normal(problem, canvases, mu)
+        want = [w[c.window] for c, w in zip(problem.comps, want)]
+        g = [problem.grad(x, ci) for ci, x in enumerate(xl)]
+        fwd = [problem.forward(xl, bi) for bi in range(len(problem.blocks))]
         # equal values, not bytes: the canvas keeps a masked difference
         # that leaves the window as -0.0 where the window's replicate
         # border holds +0.0; nothing reads those entries
-        for c, gc, full in zip(engine.comps, g, gl):
+        for c, gc, full in zip(problem.comps, g, gl):
             win = (slice(None),) + c.window
             assert np.array_equal(gc, full[win])
             off = full.copy()
             off[win] = 0.0
             assert not off.any()
         assert [a.tobytes() for a in fwd] == [a.tobytes() for a in fl]
-        dirty = engine._vec()
+        dirty = problem.vec()
         dirty.flat.fill(np.nan)
-        engine._normal(xl, mu, out=dirty)
-        for got in (engine._normal(xl, mu), engine._normal(xl, mu, g, fwd), dirty):
-            assert [a.shape for a in got] == [c.window_shape for c in engine.comps]
+        problem.normal(xl, mu, out=dirty)
+        for got in (problem.normal(xl, mu), problem.normal(xl, mu, g, fwd), dirty):
+            assert [a.shape for a in got] == [c.window_shape for c in problem.comps]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_edge_mask_excludes_support_boundary():
     mask = np.zeros((4, 6), dtype=bool)
     mask[:, :3] = True
-    c = _Comp((4, 6), mask, 1.0)
+    c = Component((4, 6), mask)
     assert c.window == (slice(0, 4), slice(0, 3))
-    e = c.edge_mask()
+    e = c.edges
     # horizontal differences across the support edge (col 2 -> 3) are off;
     # on the window that edge is its replicate border column
     assert np.all(e[0][:, 2] == 0.0)
@@ -460,9 +437,9 @@ def test_edge_mask_excludes_support_boundary():
     # the replicate boundary column never contributes
     assert np.all(e[0][:, -1] == 0.0)
     assert e.dtype == bool
-    full = _Comp((4, 6), None, 1.0)
+    full = Component((4, 6))
     assert full.window == (slice(0, 4), slice(0, 6))
-    assert full.edge_mask() is None
+    assert full.edges is None
     # the window is the mask's bounding box, the edge mask is the
     # full-canvas one on it, and the full-canvas one is zero off it
     strips = build_region_masks(3.5, 0.0, 16, 16)
@@ -475,11 +452,11 @@ def test_edge_mask_excludes_support_boundary():
             (ell.common, (slice(2, 16), slice(3, 16))),
             (np.zeros((16, 16), dtype=bool), (slice(0, 0), slice(0, 0))),
     ):
-        c = _Comp((16, 16), m, 1.0)
+        c = Component((16, 16), m)
         assert c.window == window
         win = (slice(None),) + window
         want = float_edge_mask(c)
-        assert np.array_equal(c.edge_mask(), want[win] == 1.0)
+        assert np.array_equal(c.edges, want[win] == 1.0)
         want[win] = 0.0
         assert not want.any()
 
@@ -495,7 +472,7 @@ def test_cg_vectors_are_window_views_of_one_contiguous_array(monkeypatch):
     masks = build_region_masks(3.5, 0.0, size, size)
     shift = build_shift(3.5, 0.0, size, size)
     seen = {}
-    real_cg, real_normal = _Engine._cg, _Engine._normal
+    real_cg, real_normal = Problem._cg, Problem.normal
 
     def cg(self, x0, r0, target, mu):
         seen.update(x=(self, x0), r=(self, r0))
@@ -506,15 +483,15 @@ def test_cg_vectors_are_window_views_of_one_contiguous_array(monkeypatch):
             seen.update(p=(self, xl), hp=(self, out))
         return real_normal(self, xl, mu, g, fwd, out)
 
-    monkeypatch.setattr(_Engine, "_cg", cg)
-    monkeypatch.setattr(_Engine, "_normal", normal)
+    monkeypatch.setattr(Problem, "_cg", cg)
+    monkeypatch.setattr(Problem, "normal", normal)
     reconstruct_joint(measure(v, spec), measure(apply_shift(shift, v), spec), spec,
                       size, size, shift, masks, SolverConfig(max_iters=1))
     assert sorted(seen) == ["hp", "p", "r", "x"]
-    for engine, vec in seen.values():
+    for problem, vec in seen.values():
         flat = vec.flat
         assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
-        assert [a.shape for a in vec] == [c.window_shape for c in engine.comps]
+        assert [a.shape for a in vec] == [c.window_shape for c in problem.comps]
         assert all(a.size for a in vec)
         flat[...] = np.arange(flat.size)
         assert np.concatenate([a.ravel() for a in vec]).tobytes() == \
@@ -527,24 +504,24 @@ def test_cg_vectors_are_window_views_of_one_contiguous_array(monkeypatch):
     ("superres", 3.5, 0.0, []),
 ])
 def test_projection_keeps_only_masks_that_leave_part_of_their_window(
-        monkeypatch, mode, dx, dy, projected):
-    """The engine keeps a cropped mask only where it is not all True on its
-    window, the L-shaped strips of a shift along both axes; every other
+        mode, dx, dy, projected):
+    """A component keeps a cropped mask only where it is not all True on
+    its window, the L-shaped strips of a shift along both axes; every other
     component skips the multiply, which could change nothing.  Projecting
     ones leaves each component's mask on its window either way."""
-    engine = built_engine(monkeypatch, normal_case(mode, dx, dy))
-    assert [ci for ci, m in enumerate(engine.masks) if m is not None] == projected
-    xl = [np.ones(c.window_shape) for c in engine.comps]
-    engine._project(xl)
-    for c, x in zip(engine.comps, xl):
+    problem = normal_case(mode, dx, dy)
+    assert [ci for ci, c in enumerate(problem.comps) if c.crop is not None] == projected
+    xl = [np.ones(c.window_shape) for c in problem.comps]
+    problem.project(xl)
+    for c, x in zip(problem.comps, xl):
         want = np.ones(c.window_shape) if c.mask is None else c.mask[c.window]
         assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("mode", ["single", "joint", "joint-shifted"])
-def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, mode):
+def test_engine_forward_and_adjoint_allocate_only_the_measurements(mode):
     """At 256x256 (order 65536) a forward and an adjoint of block 0 compose
-    the image in the engine's work line and take the adjoint as a view of
+    the image in the problem's work line and take the adjoint as a view of
     it: together they allocate the measurement vector and no order-length
     array.  Joint's common window is strided, and numpy stages each add
     into or out of it through iteration buffers of getbufsize() elements
@@ -556,22 +533,21 @@ def test_engine_forward_and_adjoint_allocate_only_the_measurements(monkeypatch, 
     spec = make_spec(65536, 0.125, 42, pixel_count=size * size)
     z = np.zeros(spec.count)
     if mode == "single":
-        solve = lambda: reconstruct_single(z, spec, size, size)
+        problem = Problem.single(z, spec, size, size)
     else:
         masks = build_region_masks(3.5, 0.0, size, size)
         shift = build_shift(3.5, 0.0, size, size)
-        solve = lambda: reconstruct_joint(z, z, spec, size, size, shift, masks)
+        problem = Problem.joint(z, z, spec, size, size, shift, masks)
     bi = 1 if mode == "joint-shifted" else 0
-    engine = built_engine(monkeypatch, solve)
     rng = np.random.default_rng(1)
-    xl = [rng.standard_normal(c.window_shape) for c in engine.comps]
-    out = [np.zeros(c.window_shape) for c in engine.comps]
-    engine._backward(engine._forward(xl, bi), bi, out, 1.0)
+    xl = [rng.standard_normal(c.window_shape) for c in problem.comps]
+    out = [np.zeros(c.window_shape) for c in problem.comps]
+    problem.adjoint(problem.forward(xl, bi), bi, out, 1.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fwd = engine._forward(xl, bi)
-        engine._backward(fwd, bi, out, PENALTY)
+        fwd = problem.forward(xl, bi)
+        problem.adjoint(fwd, bi, out, PENALTY)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -772,6 +748,24 @@ def test_single_view_validates_pixel_count():
     spec = make_spec(64, 0.5, 0, pixel_count=64)
     with pytest.raises(ValueError, match="pixel_count"):
         reconstruct_single(np.zeros(spec.count), spec, 8, 9)
+
+
+@pytest.mark.parametrize("mode", ["single", "joint", "superres"])
+def test_non_positive_sizes_are_refused_up_front(mode):
+    """A width or height below 1 is refused by name, as MeasurementSet
+    refuses it, also where width * height still equals pixel_count."""
+    spec = make_spec(256, 0.5, 0, pixel_count=256)
+    z = np.zeros(spec.count)
+    shift = build_shift(3.5, 0.0, 16, 16)
+    masks = build_region_masks(3.5, 0.0, 16, 16)
+    solve = {
+        "single": lambda w, h: reconstruct_single(z, spec, w, h),
+        "joint": lambda w, h: reconstruct_joint(z, z, spec, w, h, shift, masks),
+        "superres": lambda w, h: reconstruct_superres(z, z, spec, w, h, 3.5),
+    }[mode]
+    for width, height in ((-16, -16), (-1, -256), (0, 16), (16, 0)):
+        with pytest.raises(ValueError, match="width and height must be >= 1"):
+            solve(width, height)
 
 
 def test_single_rejects_wrong_length_measurements():

@@ -1,10 +1,12 @@
-"""Module boundaries inside the package: no mvlci module imports another
-module's private (underscore-prefixed) names."""
+"""Module boundaries: no mvlci module, test or tool imports a private
+(underscore-prefixed) name of an mvlci module."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mvlci"
+ROOT = Path(__file__).resolve().parents[1]
+# the package, its tests and its tools; bench/ is left out
+SCANNED = (ROOT / "src" / "mvlci", ROOT / "tests", ROOT / "tools")
 
 
 def private_imports(path: Path) -> list:
@@ -25,8 +27,9 @@ def private_imports(path: Path) -> list:
 
 
 def test_no_module_imports_another_modules_private_names():
-    files = sorted(SRC.glob("*.py"))
-    assert files
-    bad = [f"{path.name}:{line}: from {module} import {name}"
-           for path in files for line, module, name in private_imports(path)]
+    files = [sorted(folder.glob("*.py")) for folder in SCANNED]
+    assert all(files)
+    bad = [f"{path.relative_to(ROOT)}:{line}: from {module} import {name}"
+           for paths in files for path in paths
+           for line, module, name in private_imports(path)]
     assert not bad, "\n".join(bad)

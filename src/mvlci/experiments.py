@@ -30,7 +30,7 @@ from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, write_pgm
 from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view
 from .sensing import acquire
-from .solver import SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
+from .solver import Component, SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
 
 CSV_HEADER = ["experiment", "case", "mode", "sensors", "rate",
               "psnr_db", "ssim", "iterations", "wall_time_s"]
@@ -235,10 +235,12 @@ def _far_views(kind: str, width: int, height: int, dx: float, scale: int,
 def _metrics(truth, recon, mask=None):
     """PSNR/SSIM of a reconstruction clamped to the displayable range.
 
-    The mask restricts PSNR only; SSIM is always over the whole image.
+    PSNR is taken over the mask's pixels and SSIM over the mask's bounding
+    box, the region PSNR scores; without a mask both cover the whole image.
     """
     rec = clamp01(recon)
-    return psnr(truth, rec, mask), ssim(truth, rec)
+    box = Component(rec.shape, mask).window
+    return psnr(truth, rec, mask), ssim(truth[box], rec[box])
 
 
 def _add_case(report, case, mode, sensors, rate, solve, score):

@@ -25,8 +25,7 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]; clamp before export")
     h, w = img.shape
-    quant = np.rint(img * maxval).astype(np.uint32)
-    payload = quant.astype(">u2" if maxval == 65535 else "u1").tobytes()
+    payload = np.rint(img * maxval).astype(">u2" if maxval == 65535 else "u1").tobytes()
     header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -98,6 +98,13 @@ def render_view(scene: SceneModel, geometry: CameraGeometry, sensor_index: int) 
     aperture resolution this is the identity.  Raises ValueError when the
     shifted sampling window leaves the base image, naming the margin that
     would be required.
+
+    The box average is bit for bit window.reshape(ha, sy, wa, sx).mean(
+    axis=(1, 3)).  Where sx < 8 and wa > 1, that mean adds each box row's
+    sx samples to 0 from left to right, adds those row sums to 0 from top
+    to bottom and divides by sy * sx; the same adds run here as whole-slice
+    adds over every box at once.  Elsewhere numpy sums in pairwise blocks
+    of 8 or along one merged axis, and the mean itself is taken.
     """
     base = scene.base
     bh, bw = base.shape
@@ -115,13 +122,18 @@ def render_view(scene: SceneModel, geometry: CameraGeometry, sensor_index: int) 
                         sensor=sensor_index, name="rows")
     window = _sample_axis(rows, axis=1, start=anchor_x - sx * dx, count=sx * wa,
                           sensor=sensor_index, name="columns")
-    return window.reshape(ha, sy, wa, sx).mean(axis=(1, 3))
+    box = window.reshape(ha, sy, wa, sx)
+    if sx >= 8 or wa == 1:  # numpy adds in blocks of 8 or along one merged axis
+        return np.ascontiguousarray(box).mean(axis=(1, 3))
+    return sum(sum(box[:, r, :, c] for c in range(sx)) for r in range(sy)) / (sy * sx)
 
 
 def _sample_axis(img: np.ndarray, axis: int, start: float, count: int,
                  sensor: int, name: str) -> np.ndarray:
     """Take `count` consecutive samples along one axis starting at a
-    fractional position, interpolating linearly between neighbors."""
+    fractional position, interpolating linearly between neighbors:
+    (1 - frac) * lo + frac * hi in one new array, or a view of img when
+    frac is 0."""
     size = img.shape[axis]
     i0 = math.floor(start)
     frac = start - i0
@@ -138,10 +150,10 @@ def _sample_axis(img: np.ndarray, axis: int, start: float, count: int,
     sl[axis] = slice(i0, i0 + count)
     lo = img[tuple(sl)]
     if frac == 0.0:
-        return np.ascontiguousarray(lo)
+        return lo
     sl[axis] = slice(i0 + 1, i0 + 1 + count)
-    hi = img[tuple(sl)]
-    return (1.0 - frac) * lo + frac * hi
+    out = (1.0 - frac) * lo
+    return np.add(out, frac * img[tuple(sl)], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,15 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
     The swaps are resolved in whole-array passes.  Draw i outputs the value
     at position j_i at time i: j_i + 1 if no earlier draw wrote there,
     else the value carried by the latest earlier writer k there, which is
-    the value at k at time k, defined the same way.  A stable sort by j_i
-    (no combined key that could overflow) finds both writers; each comes
-    before its reader, so pointer doubling resolves the chains without
-    cycles.  This is the sequential loop's recurrence, so the rows equal
-    its rows bit for bit.  No array has one entry per order.
+    the value at k at time k, defined the same way.  One unstable sort of
+    the keys rank(j_i) * draws + i orders the draws by (j_i, i), so it
+    gives each draw's latest earlier writer and each position's last
+    writer.  rank(j) is j itself where order * draws fits in int64, else
+    the count of draws with a smaller j, so a key stays below draws**2
+    and never overflows.  Each writer comes before its reader, so pointer
+    doubling resolves the chains without cycles.  This is the sequential
+    loop's recurrence, so the rows equal its rows bit for bit.  No array
+    has one entry per order.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of two")
@@ -181,15 +185,19 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
     js = (r % m).astype(np.int64)
     at = np.arange(draws, dtype=np.int64)
     js += at
-    by = np.argsort(js, kind="stable")  # draws by (j, draw index)
+    rank = js if order * draws <= 1 << 63 else np.searchsorted(np.sort(js), js)
+    by = np.sort(rank * draws + at) % draws  # draws by (j, draw index)
     sj = js[by]
     same = sj[1:] == sj[:-1]
     prev = np.full(draws, -1, dtype=np.int64)  # latest earlier writer at j_i
     prev[by[1:][same]] = by[:-1][same]
     # root[i]: the last writer at position i, or i if none; it precedes i
-    # or is i swapping with itself, a value that no draw reads
-    last = np.searchsorted(sj, at, side="right") - 1
-    root = np.where(sj[last] == at, by[last], at)
+    # or is i swapping with itself, a value that no draw reads.  The last
+    # writers end the runs of one j in sorted order ([:draws]: none if no
+    # draws).
+    last = np.append(~same, True)[:draws] & (sj < draws)
+    root = at.copy()
+    root[sj[last]] = by[last]
     hop = root[root]
     while not np.array_equal(hop, root):
         root, hop = hop, hop[hop]
@@ -397,6 +405,9 @@ def read_mvm(path) -> MeasurementSet:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed MVM1 header line {line!r}")
+        if key in fields or key not in _MVM_INT_KEYS + _MVM_FLOAT_KEYS:
+            why = "repeated" if key in fields else "unknown"
+            raise ValueError(f"{why} MVM1 header key {key!r}")
         fields[key] = value
     missing = [k for k in _MVM_INT_KEYS + _MVM_FLOAT_KEYS if k not in fields]
     if missing:

@@ -339,8 +339,9 @@ class Problem:
     def _measurements(spec: SensingSpec, width: int, height: int, *zs) -> list:
         """The measurement vectors of one solve as float64, each checked to
         hold one value per selected row of a width x height image."""
-        if width < 1 or height < 1:
-            raise ValueError("width and height must be >= 1")
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (width, height)):
+            raise ValueError("width and height must be >= 1 and integers, "
+                             f"got {width!r} x {height!r}")
         if width * height != spec.pixel_count:
             raise ValueError("width*height must equal spec.pixel_count")
         zs = [np.asarray(z, dtype=np.float64) for z in zs]

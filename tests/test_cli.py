@@ -558,6 +558,12 @@ def edit_header(data, key, value):
     return b"\n".join(lines) + b"\n\n" + payload
 
 
+def add_header_line(data, line):
+    """Append a line to the MVM1 header, keeping every field it has."""
+    header, _, payload = data.partition(b"\n\n")
+    return header + b"\n" + line + b"\n\n" + payload
+
+
 def poison_last_value(data, bad):
     return data[:-8] + np.array([bad], dtype="<f8").tobytes()
 
@@ -573,6 +579,9 @@ MALFORMED_MVM = {
     "negative-size": lambda d: d.replace(b"width=", b"width=-").replace(
         b"height=", b"height=-"),
     "trailing-bytes": lambda d: d + b"\0",
+    "repeated-width": lambda d: add_header_line(d, b"width=16"),
+    "unknown-key": lambda d: add_header_line(d, b"bogus=1"),
+    "repeated-and-unknown": lambda d: add_header_line(d, b"width=16\nbogus=1"),
     "nan-value": lambda d: poison_last_value(d, np.nan),
     "inf-value": lambda d: poison_last_value(d, -np.inf),
 }

@@ -99,3 +99,30 @@ def test_write_rejects_non_finite_image(tmp_path):
 def test_clamp01_clips_overshoot():
     out = clamp01(np.array([-0.25, 0.5, 1.75]))
     assert np.array_equal(out, [0.0, 0.5, 1.0])
+
+
+def reference_pgm_bytes(img, maxval):
+    """The file write_pgm keeps byte for byte: round to a uint32 level,
+    then cast to the on-disk sample type."""
+    h, w = img.shape
+    quant = np.rint(img * maxval).astype(np.uint32)
+    payload = quant.astype(">u2" if maxval == 65535 else "u1").tobytes()
+    return f"P5\n{w} {h}\n{maxval}\n".encode("ascii") + payload
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_write_pgm_is_bytewise_the_reference_quantizer(tmp_path, maxval):
+    """Exact half-step values (x * maxval == k + 0.5, which rint sends to
+    the even level), their float neighbours, both ends and random values."""
+    k = np.arange(maxval, dtype=np.float64)
+    half = (k + 0.5) / maxval
+    half = half[half * maxval == k + 0.5]
+    assert half.size > maxval // 2
+    values = np.concatenate([half, np.nextafter(half, 0.0), np.nextafter(half, 1.0),
+                             [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
+                             _random_image(4, 1, 1000).ravel()])
+    width = 64
+    img = np.resize(values, (-(-values.size // width), width))
+    path = tmp_path / "h.pgm"
+    write_pgm(path, img, maxval=maxval)
+    assert path.read_bytes() == reference_pgm_bytes(img, maxval)

@@ -1,5 +1,7 @@
 """Scene generation, parallax geometry and view rendering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,70 @@ def test_render_raises_when_sampling_leaves_scene():
     geo = _two_sensor_geometry(64, 64, 3.5)
     with pytest.raises(ValueError, match="margin"):
         render_view(scene, geo, 2)
+
+
+def reference_render(base, wa, ha, dx, dy):
+    """The view formula render_view keeps bit for bit: interpolate each
+    axis as (1 - frac) * lo + frac * hi, then box-average the window with
+    .mean(axis=(1, 3))."""
+    bh, bw = base.shape
+    sx, sy = bw // wa, bh // ha
+
+    def sample(img, axis, start, count):
+        i0 = math.floor(start)
+        frac = start - i0
+        if i0 < 0 or i0 + count + (frac != 0.0) > img.shape[axis]:
+            raise ValueError("margin")
+        sl = [slice(None)] * 2
+        sl[axis] = slice(i0, i0 + count)
+        lo = img[tuple(sl)]
+        if frac == 0.0:
+            return np.ascontiguousarray(lo)
+        sl[axis] = slice(i0 + 1, i0 + 1 + count)
+        return (1.0 - frac) * lo + frac * img[tuple(sl)]
+
+    rows = sample(base, 0, (bh - sy * ha) // 2 - sy * dy, sy * ha)
+    window = sample(rows, 1, (bw - sx * wa) // 2 - sx * dx, sx * wa)
+    return window.reshape(ha, sy, wa, sx).mean(axis=(1, 3))
+
+
+def wide_range_base(rng, shape):
+    """Values in [0, 1] spread over 30 binades, a tenth of them +0.0 and a
+    tenth -0.0, so that adding in any other order changes some bits."""
+    base = rng.uniform(0.5, 1.0, shape) * 2.0 ** rng.integers(-30, 0, shape)
+    u = rng.uniform(size=shape)
+    base[u < 0.1] = 0.0
+    base[(u >= 0.1) & (u < 0.2)] = -0.0
+    return base
+
+
+# (dx, dy) in aperture pixels: none, integer on the base grid, and
+# fractional of both signs along each axis and along both
+VIEW_SHIFTS = ((0.0, 0.0), (1.0, -1.0), (0.25, 0.0), (-0.75, 0.0), (0.0, 0.5),
+               (0.0, -0.3), (0.4, -0.6), (-0.35, 0.45))
+
+
+@pytest.mark.parametrize("sx", range(1, 10))
+@pytest.mark.parametrize("sy", [1, 2, 3])
+def test_render_view_is_bytewise_the_reference_formula(sy, sx):
+    """Every box size sy x sx, on apertures of one row or column too, where
+    numpy merges the summed axes.  A shift whose window leaves the base
+    must raise in render_view as it does in the reference."""
+    rng = np.random.default_rng(10 * sy + sx)
+    checked = 0
+    for ha, wa in ((12, 20), (1, 20), (12, 1), (1, 1)):
+        # the largest margin that keeps the scale at sy x sx
+        base = wide_range_base(rng, (sy * ha + ha - 1, sx * wa + wa - 1))
+        for dx, dy in VIEW_SHIFTS:
+            geo = _two_sensor_geometry(wa, ha, dx, dy, z=1.0e300)  # shift is exact
+            try:
+                ref = reference_render(base, wa, ha, dx, dy)
+            except ValueError:
+                with pytest.raises(ValueError, match="margin"):
+                    render_view(SceneModel(base), geo, 2)
+                continue
+            view = render_view(SceneModel(base), geo, 2)
+            assert view.dtype == ref.dtype and view.shape == ref.shape == (ha, wa)
+            assert view.tobytes() == ref.tobytes(), (ha, wa, dx, dy)
+            checked += 1
+    assert checked >= 12

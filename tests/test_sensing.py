@@ -462,6 +462,42 @@ def test_select_rows_at_huge_orders_allocates_per_draw(monkeypatch, log2_order, 
     assert peak < 1 << 20
 
 
+class ForcedOffsets:
+    """A stand-in stream whose draw i is exactly offsets[i]: below(m)
+    returns the next offset, and u64_stream returns them all at once, each
+    a value that below()'s rejection rule accepts."""
+
+    def __init__(self, offsets):
+        self.offsets = np.asarray(offsets, dtype=np.uint64)
+        self.rest = iter(offsets.tolist())
+
+    def below(self, m):
+        value = next(self.rest)
+        assert 0 <= value < m
+        return value
+
+    def u64_stream(self, seed, count):
+        assert count == self.offsets.size  # one call: nothing is rejected
+        return self.offsets.copy()
+
+
+def test_select_rows_tie_heavy_offsets_at_order_65536(monkeypatch):
+    """A quarter of order 65536 where almost every draw shares its j:
+    draws i = 0 mod 3 go to the next multiple of 64 (positions later draws
+    read, so chains of writers), draws i = 1 mod 3 to one of the top five
+    positions (ties thousands deep), and the rest swap with themselves."""
+    order, count = 65536, 16384
+    i = np.arange(count - 1)
+    offsets = np.select([i % 3 == 0, i % 3 == 1],
+                        [-i % 64, order - 2 - i - i % 5], 0)
+    js = i + offsets
+    assert np.unique(js[i % 3 != 2]).size < 300
+    stream = ForcedOffsets(offsets)
+    monkeypatch.setattr(sensing, "u64_stream", stream.u64_stream)
+    rows = select_rows(order, count / order, 0)
+    assert np.array_equal(rows, sequential_select_rows(order, count, stream))
+
+
 def test_select_rows_rejects_orders_beyond_int64():
     assert select_rows(1 << 63, 1.0 / (1 << 62), 0).max() < 1 << 63
     with pytest.raises(ValueError, match="2\\*\\*63"):
@@ -756,6 +792,21 @@ def test_mvm_rejects_truncated_payload(tmp_path):
     clipped = path.read_bytes()[:-4]
     path.write_bytes(clipped)
     with pytest.raises(ValueError, match="truncated"):
+        read_mvm(path)
+
+
+@pytest.mark.parametrize("extra,message", [
+    (b"width=8", "repeated MVM1 header key 'width'"),
+    (b"bogus=1", "unknown MVM1 header key 'bogus'"),
+    (b"width=8\nbogus=1", "repeated MVM1 header key 'width'"),
+])
+def test_mvm_rejects_repeated_and_unknown_header_keys(tmp_path, extra, message):
+    ms = sample_measurement_set()
+    path = tmp_path / "m.mvm"
+    write_mvm(path, ms)
+    header, _, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes(header + b"\n" + extra + b"\n\n" + payload)
+    with pytest.raises(ValueError, match=message):
         read_mvm(path)
 
 

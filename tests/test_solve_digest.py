@@ -28,3 +28,5 @@ def test_reduced_digest_is_stable_and_quick():
     assert "epsilon" not in sections
     assert {"epsilon.16.single", "epsilon.16.joint", "epsilon.16.superres",
             "epsilon.stacked"} <= set(sections)
+    # the front end (row selection and view rendering) is covered too
+    assert {"rows", "views"} <= set(sections)

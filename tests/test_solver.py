@@ -768,6 +768,27 @@ def test_non_positive_sizes_are_refused_up_front(mode):
             solve(width, height)
 
 
+@pytest.mark.parametrize("mode", ["single", "joint", "superres"])
+def test_non_integral_sizes_are_refused_up_front(mode):
+    """A float or other non-integer width or height is refused with a
+    ValueError naming both, even where its value is whole, instead of
+    failing inside numpy's array constructors."""
+    spec = make_spec(256, 0.5, 0, pixel_count=256)
+    z = np.zeros(spec.count)
+    shift = build_shift(3.5, 0.0, 16, 16)
+    masks = build_region_masks(3.5, 0.0, 16, 16)
+    solve = {
+        "single": lambda w, h: reconstruct_single(z, spec, w, h),
+        "joint": lambda w, h: reconstruct_joint(z, z, spec, w, h, shift, masks),
+        "superres": lambda w, h: reconstruct_superres(z, z, spec, w, h, 3.5),
+    }[mode]
+    for width, height in ((16.0, 16.0), (16, 16.0), (16.0, 16), (np.float64(16), 16),
+                          ("16", 16), (None, 16)):
+        with pytest.raises(ValueError, match="width and height must be >= 1 and integers"):
+            solve(width, height)
+    solve(np.int64(16), np.int64(16))  # numpy integers are integers
+
+
 def test_single_rejects_wrong_length_measurements():
     """A vector or a (k, count) stack; anything else is refused up front,
     naming the row count, instead of failing inside the adjoint."""

@@ -32,7 +32,11 @@ each forward zeroes the padding its last adjoint left),
 fig3/fig4 at noise 0 and 0.02, the CLI pipeline (3 views measured at
 noise 0.05, then `--sensor 1 --verbose`, `--sensor all`, joint and
 superres, all at the default --sigma), the rows select_rows picks at
-(2**18, 0.25, 7), (65536, 1.0, -1) and (4096, 0.125, 2**64 + 3), and
+(2**18, 0.25, 7), (65536, 1.0, -1) and (4096, 0.125, 2**64 + 3), (section
+`views`) render_view at every box size sy x sx, sy in 1..3 and sx in
+1..9, on apertures of 12x20, 1x20, 12x1 and 1x1, at shifts that are
+zero, whole on the base grid and fractional of both signs on each axis
+(with the error message where the window leaves the base), and
 the CSR arrays of six sparse operators:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
@@ -45,8 +49,8 @@ transposed inputs with zeros of both signs, and (section `cli.experiment`) the r
 `mvlci experiment --which fig4` prints and the files it writes; 10-20 s
 on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
-CLI, each for at most 20 iterations (a fraction of a second; the test
-suite runs it).
+CLI, each for at most 20 iterations, and the `rows` and `views` sections
+(a fraction of a second; the test suite runs it).
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ import numpy as np
 from mvlci.cli import main as cli_main
 from mvlci.experiments import run_measurement_increase, run_superres
 from mvlci.geometry import apply_shift, build_region_masks, build_sampling, build_shift
-from mvlci.scene import CameraGeometry, make_test_scene, parallax_shift, render_view
+from mvlci.scene import (CameraGeometry, SceneModel, make_test_scene, parallax_shift,
+                         render_view)
 from mvlci.sensing import SensingSpec, add_noise, measure, order_for_pixels, select_rows
 from mvlci.solver import (
     SolverConfig,
@@ -279,6 +284,37 @@ def _rows(h) -> None:
         _put(h, f"rows.{order}.{rate}.{seed}", select_rows(order, rate, seed))
 
 
+# (dx, dy): none, whole on the base grid, fractional of both signs
+VIEW_SHIFTS = ((0.0, 0.0), (1.0, -1.0), (0.25, 0.0), (-0.75, 0.0), (0.0, 0.5),
+               (0.0, -0.3), (0.4, -0.6), (-0.35, 0.45))
+
+
+def _views(h) -> None:
+    """render_view of sensor 2 over every box size sy x sx (sy 1-3, sx
+    1-9) and aperture shape, on bases whose values span 30 binades and
+    hold zeros of both signs, at each of VIEW_SHIFTS; a window that leaves
+    the base contributes its error message."""
+    rng = np.random.default_rng(13)
+    for sy in (1, 2, 3):
+        for sx in range(1, 10):
+            for ha, wa in ((12, 20), (1, 20), (12, 1), (1, 1)):
+                shape = (sy * ha + ha - 1, sx * wa + wa - 1)
+                base = rng.uniform(0.5, 1.0, shape) * 2.0 ** rng.integers(-30, 0, shape)
+                u = rng.uniform(size=shape)
+                base[u < 0.1] = 0.0
+                base[(u >= 0.1) & (u < 0.2)] = -0.0
+                for dx, dy in VIEW_SHIFTS:
+                    geo = CameraGeometry(aperture_width=wa, aperture_height=ha,
+                                         sensor_offsets=[(0.0, 0.0), (dx, dy)],
+                                         sensor_plane_distance=1.0,
+                                         scene_distance=1.0e300)
+                    try:
+                        view = render_view(SceneModel(base), geo, 2)
+                    except ValueError as exc:
+                        view = str(exc)
+                    _put(h, f"views.{sy}x{sx}.{ha}x{wa}.{dx}.{dy}", view)
+
+
 def _operators(d: _Digest) -> None:
     """Shape, indptr, indices and data (each with its dtype) of the shift
     and sampling operators the solves build, with superres's sensor-2
@@ -343,6 +379,8 @@ def sections(reduced: bool = False) -> list:
         _solves(d, 16, SolverConfig(max_iters=20), "16")
         _stacked(d.part("stacked"), 16, 20)
         _cli(d, 10)
+        _rows(d.part("rows"))
+        _views(d.part("views"))
     else:
         _solves(d, 64, SolverConfig(), "64")
         _solves(d, 64, SolverConfig(max_iters=60), "64.max60")
@@ -354,6 +392,7 @@ def sections(reduced: bool = False) -> list:
         _studies(d)
         _cli(d, 80)
         _rows(d.part("rows"))
+        _views(d.part("views"))
         _operators(d)
         _tv(d.part("tv"))
         _experiment(d.part("cli.experiment"))

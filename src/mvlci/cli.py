@@ -8,8 +8,11 @@ Four subcommands cover the simulation pipeline end to end:
     mvlci experiment   run one of the packaged comparisons
 
 Every command writes a flat key=value manifest next to its outputs with
-all resolved parameters, enough to reproduce the run bit for bit.  Exit
-codes: 0 success, 1 runtime failure, 2 usage error.
+all resolved parameters, enough to reproduce the run bit for bit.  Each
+`cmd_*` returns the manifest's path and its own entries, and `main` alone
+writes every manifest: the command name and version first, the entries,
+then the wall time of the command.  A command that fails writes none.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -41,25 +44,18 @@ def write_manifest(path, entries: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _manifest_base(command: str, args_dict: dict) -> dict:
-    entries = {"command": command, "version": __version__}
-    entries.update(args_dict)
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # scene
 # ---------------------------------------------------------------------------
 
-def cmd_scene(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scene(args) -> tuple[Path, dict]:
     scene = make_test_scene(args.kind, args.width, args.height, args.seed)
     out = Path(args.out)
     views = []
-    entries = _manifest_base("scene", {
+    entries = {
         "kind": args.kind, "width": args.width, "height": args.height,
         "seed": args.seed, "maxval": args.maxval, "out": out,
-    })
+    }
     if args.views:
         # two low-res views rendered from a window of the scene at 2x
         # horizontal scale; the margin covers the second sensor's shift
@@ -102,17 +98,14 @@ def cmd_scene(args) -> int:
     write_pgm(out, scene.base, maxval=args.maxval)
     for k, view in enumerate(views, start=1):
         write_pgm(out.parent / f"view{k}.pgm", view, maxval=args.maxval)
-    entries["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
-    write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
-    return 0
+    return out.with_suffix(out.suffix + ".manifest"), entries
 
 
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
 
-def cmd_measure(args) -> int:
-    t0 = time.perf_counter()
+def cmd_measure(args) -> tuple[Path, dict]:
     views = [read_pgm(p) for p in args.views]
     if any(v.shape != views[0].shape for v in views):
         raise _UsageError("all views must have identical dimensions")
@@ -120,23 +113,19 @@ def cmd_measure(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_mvm(out, ms)
-    entries = _manifest_base("measure", {
+    return out.with_suffix(out.suffix + ".manifest"), {
         "views": ",".join(str(p) for p in args.views),
         "rate": repr(args.rate), "seed": args.seed, "noise": repr(args.noise),
         "order": ms.spec.order, "rows": ms.spec.count, "width": ms.width,
-        "height": ms.height,
-        "out": out, "wall_time_s": f"{time.perf_counter() - t0:.3f}",
-    })
-    write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
-    return 0
+        "height": ms.height, "out": out,
+    }
 
 
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
 
-def cmd_reconstruct(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reconstruct(args) -> tuple[Path, dict]:
     # a flag the mode ignores is an error, not a silent no-op; the manifest
     # records only the flags the mode uses
     single = args.mode == "single"
@@ -211,7 +200,7 @@ def cmd_reconstruct(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, img in written.items():
         write_pgm(outdir / f"{name}.pgm", clamp01(img), maxval=65535)
-    entries = _manifest_base("reconstruct", {
+    return outdir / "manifest.txt", {
         "meas": args.meas, "mode": args.mode, **mode_flags,
         "tol": repr(args.tol), "max_iters": args.max_iters,
         "epsilon": ",".join(repr(e) for e in res.epsilon), "out": outdir,
@@ -219,10 +208,7 @@ def cmd_reconstruct(args) -> int:
         "objective": f"{res.objective_history[-1]:.6e}",
         "residuals": ",".join(f"{r:.6e}" for r in res.residual_history[-1]),
         "outputs": ",".join(sorted(written)),
-        "wall_time_s": f"{time.perf_counter() - t0:.3f}",
-    })
-    write_manifest(outdir / "manifest.txt", entries)
-    return 0
+    }
 
 
 def _parse_sensor(text: str) -> int:
@@ -236,22 +222,18 @@ def _parse_sensor(text: str) -> int:
 # experiment
 # ---------------------------------------------------------------------------
 
-def cmd_experiment(args) -> int:
-    t0 = time.perf_counter()
+def cmd_experiment(args) -> tuple[Path, dict]:
     outdir = Path(args.out)
     run = run_measurement_increase if args.which == "fig3" else run_superres
     report = run(scene_seed=args.scene_seed, meas_seed=args.meas_seed)
     report.write(outdir)
-    entries = _manifest_base("experiment", {
+    print(report.summary_text(), end="")
+    return outdir / "manifest.txt", {
         "which": args.which, "scene_seed": args.scene_seed,
         "meas_seed": args.meas_seed, "out": outdir,
         "verdicts": ",".join(f"{v.claim}:{'pass' if v.passed else 'fail'}"
                              for v in report.verdicts),
-        "wall_time_s": f"{time.perf_counter() - t0:.3f}",
-    })
-    write_manifest(outdir / "manifest.txt", entries)
-    print(report.summary_text(), end="")
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +303,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        path, entries = args.func(args)
+        write_manifest(path, {"command": args.command, "version": __version__,
+                              **entries,
+                              "wall_time_s": f"{time.perf_counter() - t0:.3f}"})
+        return 0
     except _UsageError as exc:
         print(f"mvlci: {exc}", file=sys.stderr)
         return 2

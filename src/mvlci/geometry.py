@@ -150,10 +150,12 @@ class RegionMasks:
     disjoint: tuple
 
     def common_for(self, sensor_index: int) -> np.ndarray:
-        """Common-region mask expressed on the given sensor's grid."""
+        """Common-region mask expressed on the given sensor's grid (1 or 2)."""
         if sensor_index == 1:
             return self.common
-        return ~self.disjoint[sensor_index - 1]
+        if sensor_index != 2:
+            raise ValueError(f"sensor index {sensor_index} out of range")
+        return ~self.disjoint[1]
 
 
 def build_region_masks(dx: float, dy: float, width: int, height: int) -> RegionMasks:

@@ -337,6 +337,8 @@ def acquire(views, rate: float, seed: int, noise_sigma: float = 0.0) -> Measurem
     a view; with noise_sigma > 0, sensor k (1-based) gets
     add_noise(z_k, noise_sigma, seed + k).
     """
+    if not views:
+        raise ValueError("acquire needs at least one view")
     height, width = views[0].shape
     if any(v.shape != (height, width) for v in views):
         raise ValueError("all views must have identical dimensions")

@@ -657,3 +657,55 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+# ---------------------------------------------------------------------------
+# the manifest frame
+# ---------------------------------------------------------------------------
+
+# each command on the offset pair: its argv ({pair} and {out} filled in), its
+# manifest relative to {out}, and the last output it writes
+FRAMED = {
+    "scene": (["scene", "--width", "46", "--height", "16", "--views",
+               "--dx", "3.5", "--out", "{out}/scene.pgm"],
+              "scene.pgm.manifest", "view2.pgm"),
+    "measure": (["measure", "--views", "{pair}/view1.pgm", "{pair}/view2.pgm",
+                 "--rate", "0.5", "--out", "{out}/m.mvm"],
+                "m.mvm.manifest", "m.mvm"),
+    "reconstruct-single": (["reconstruct", "--meas", "{pair}/meas.mvm",
+                            "--mode", "single", "--out", "{out}"],
+                           "manifest.txt", "recon.pgm"),
+    "reconstruct-joint": (["reconstruct", "--meas", "{pair}/meas.mvm",
+                           "--mode", "joint", "--out", "{out}"],
+                          "manifest.txt", "view2.pgm"),
+    "reconstruct-superres": (["reconstruct", "--meas", "{pair}/meas.mvm",
+                              "--mode", "superres", "--out", "{out}"],
+                             "manifest.txt", "disjoint2.pgm"),
+    "experiment": (["experiment", "--which", "fig4", "--out", "{out}"],
+                   "manifest.txt", "superres.pgm"),
+}
+
+
+@pytest.mark.parametrize("argv,manifest,last_output", FRAMED.values(),
+                         ids=FRAMED.keys())
+def test_main_frames_each_manifest_and_a_failed_command_writes_none(
+        offset_pair, tmp_path, capsys, argv, manifest, last_output):
+    """main writes every manifest: command and version first, the command's
+    own entries, wall_time_s last, each key once.  A command that fails
+    after parsing, here on its last output (a directory squats on that
+    name), exits 1 and writes no manifest."""
+    def run(out):
+        return main([a.format(pair=offset_pair, out=out) for a in argv])
+
+    assert run(tmp_path / "ok") == 0
+    lines = (tmp_path / "ok" / manifest).read_text(encoding="utf-8").splitlines()
+    keys = [line.partition("=")[0] for line in lines]
+    assert keys[:2] == ["command", "version"] and keys[-1] == "wall_time_s"
+    assert len(set(keys)) == len(keys) > 3
+    assert lines[0] == f"command={argv[0]}"
+    capsys.readouterr()
+
+    (tmp_path / "bad" / last_output).mkdir(parents=True)
+    assert run(tmp_path / "bad") == 1
+    assert capsys.readouterr().err.startswith("mvlci:")
+    assert not (tmp_path / "bad" / manifest).exists()

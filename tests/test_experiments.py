@@ -196,8 +196,8 @@ def test_report_write_creates_files(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_measurement_increase_structure_and_determinism(tmp_path):
-    kwargs = dict(width=32, height=32, rate_low=0.125, rate_high=0.25,
-                  scene_seed=7, meas_seed=42)
+    kwargs = dict(width=32, height=32, rate_low=0.125, scene_seed=7,
+                  meas_seed=42)
     rep = run_measurement_increase(**kwargs)
     rep.write(tmp_path / "fig")
     assert [c.case for c in rep.cases] == [
@@ -224,22 +224,20 @@ def test_case_wall_time_is_the_solve_alone(monkeypatch):
     if the clock is read right before and right after the solve."""
     ticks = itertools.count()
     monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
-    fig3 = run_measurement_increase(width=16, height=16, rate_low=1.0,
-                                    rate_high=1.0)
+    fig3 = run_measurement_increase(width=16, height=16, rate_low=1.0)
     fig4 = run_superres(width=16, height=16, rate=1.0)
     assert [c.wall_time_s for c in fig3.cases + fig4.cases] == [1.0] * 8
 
 
 def test_measurement_increase_rejects_uneven_rates():
-    with pytest.raises(ValueError, match="twice"):
-        run_measurement_increase(rate_low=0.125, rate_high=0.3)
-    with pytest.raises(ValueError, match="twice"):
-        run_measurement_increase(rate_low=1.0, rate_high=0.5)
+    """The high rate is twice rate_low, so a rate_low above 0.5 other than
+    the degenerate 1.0 has no high rate."""
+    with pytest.raises(ValueError, match="rate_low must be at most 0.5"):
+        run_measurement_increase(rate_low=0.75)
 
 
 def test_degenerate_full_rate_run_passes_by_saturation():
-    rep = run_measurement_increase(width=32, height=32,
-                                   rate_low=1.0, rate_high=1.0,
+    rep = run_measurement_increase(width=32, height=32, rate_low=1.0,
                                    scene_seed=7, meas_seed=42)
     assert all(v.passed for v in rep.verdicts)
     for v in rep.verdicts:

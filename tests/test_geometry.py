@@ -218,3 +218,10 @@ def test_masks_partition_each_grid():
 def test_common_for_reference_sensor_is_common():
     masks = build_region_masks(3.5, 0.0, 16, 16)
     assert masks.common_for(1) is masks.common
+
+
+@pytest.mark.parametrize("sensor_index", [0, -1, 3])
+def test_common_for_rejects_a_sensor_index_outside_one_and_two(sensor_index):
+    masks = build_region_masks(3.5, 0.0, 16, 8)
+    with pytest.raises(ValueError, match="out of range"):
+        masks.common_for(sensor_index)

@@ -684,6 +684,11 @@ def test_acquire_rejects_views_of_different_shapes():
         acquire([np.zeros((32, 64)), np.zeros((64, 32))], 0.25, 1)
 
 
+def test_acquire_rejects_an_empty_view_list():
+    with pytest.raises(ValueError, match="at least one view"):
+        acquire([], 0.25, 1)
+
+
 # ---------------------------------------------------------------------------
 # measurement sets and the MVM1 container
 # ---------------------------------------------------------------------------

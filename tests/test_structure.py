@@ -1,5 +1,6 @@
 """Module boundaries: no mvlci module, test or tool imports a private
-(underscore-prefixed) name of an mvlci module."""
+(underscore-prefixed) name of an mvlci module, and in the CLI only `main`
+frames a manifest."""
 
 import ast
 from pathlib import Path
@@ -32,4 +33,33 @@ def test_no_module_imports_another_modules_private_names():
     bad = [f"{path.relative_to(ROOT)}:{line}: from {module} import {name}"
            for paths in files for path in paths
            for line, module, name in private_imports(path)]
+    assert not bad, "\n".join(bad)
+
+
+def manifest_framing(path: Path) -> list:
+    """(line, top-level name, what) for each write_manifest call,
+    time.perf_counter call or "wall_time_s" string outside `main`."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        name = getattr(top, "name", None)
+        if name == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called in ("write_manifest", "perf_counter"):
+                    found.append((node.lineno, name, f"calls {called}"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "wall_time_s" in node.value:
+                found.append((node.lineno, name, 'holds "wall_time_s"'))
+    return found
+
+
+def test_only_cli_main_frames_a_manifest():
+    """Each cmd_* returns its manifest path and entries; main alone times
+    the command and writes the manifest, so the frame has one author."""
+    path = ROOT / "src" / "mvlci" / "cli.py"
+    bad = [f"{path.relative_to(ROOT)}:{line}: {name or 'module level'} {what}"
+           for line, name, what in manifest_framing(path)]
     assert not bad, "\n".join(bad)

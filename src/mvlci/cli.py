@@ -12,12 +12,15 @@ all resolved parameters, enough to reproduce the run bit for bit.  Each
 `cmd_*` returns the manifest's path and its own entries, and `main` alone
 writes every manifest: the command name and version first, the entries,
 then the wall time of the command.  A command that fails writes none.
+`main` builds the parse tree once per process and reuses it, and at
+each call it picks the `cmd_*` function by the command's name.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -262,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=100.0,
                    help="sensor plane distance behind the aperture")
     p.add_argument("--z", type=float, default=1.0e6, help="scene distance")
-    p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("measure", help="measure view images through the aperture")
     p.add_argument("--views", nargs="+", required=True)
@@ -270,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_measure)
 
     solver_defaults = SolverConfig()
     p = sub.add_parser("reconstruct", help="reconstruct from a measurement file")
@@ -288,23 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="after the solve, print one line per iteration on stderr")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("experiment", help="run a packaged comparison")
     p.add_argument("--which", choices=("fig3", "fig4"), required=True)
     p.add_argument("--scene-seed", type=int, default=7)
     p.add_argument("--meas-seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_experiment)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parse tree of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* is the one that runs
+    command = {"scene": cmd_scene, "measure": cmd_measure,
+               "reconstruct": cmd_reconstruct,
+               "experiment": cmd_experiment}[args.command]
     try:
         t0 = time.perf_counter()
-        path, entries = args.func(args)
+        path, entries = command(args)
         write_manifest(path, {"command": args.command, "version": __version__,
                               **entries,
                               "wall_time_s": f"{time.perf_counter() - t0:.3f}"})

@@ -15,16 +15,20 @@ For super-resolution each sensor k samples a double-width image through
 S(dx_k) = S1 U(2 dx_k), with dx_1 = 0: S1 averages each pair of high-res
 columns, and U is the bilinear shift on the double-width grid.
 build_sampling writes S(dx) as CSR arrays directly, from U's column taps
-without building U.
+without building U.  These two sparse builders import scipy when called,
+so importing this module, or building region masks, loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass
@@ -51,6 +55,8 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     weight and column arrays; the positive weights are kept in row-major
     order, so each row's columns ascend, and indptr counts them per pixel.
     """
+    from scipy import sparse
+
     _require_in_range(dx, dy, width, height)
     xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
     yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
@@ -101,6 +107,8 @@ def build_sampling(dx: float, width: int, height: int) -> sparse.csr_matrix:
     and tap 0 of 2x + 1 share one, and emits the columns last first, that
     is descending.  Taps at weight 0 (off the grid) are not in U; here
     they are dropped with any zero sum."""
+    from scipy import sparse
+
     hw = 2 * width
     _require_in_range(2.0 * dx, 0.0, hw, height)
     taps, weights = _axis_taps(np.arange(hw, dtype=np.float64) - 2.0 * dx, hw)

@@ -42,7 +42,8 @@ def read_pgm(path) -> np.ndarray:
     w_tok, pos = _next_token(data, pos)
     h_tok, pos = _next_token(data, pos)
     max_tok, pos = _next_token(data, pos)
-    w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    w, h, maxval = (_header_int("width", w_tok), _header_int("height", h_tok),
+                    _header_int("maxval", max_tok))
     if w <= 0 or h <= 0:
         raise ValueError(f"bad PGM dimensions {w}x{h}")
     if maxval not in (255, 65535):
@@ -60,6 +61,13 @@ def read_pgm(path) -> np.ndarray:
 def clamp01(image: np.ndarray) -> np.ndarray:
     """Clip an array into [0, 1] (reconstructions may overshoot slightly)."""
     return np.clip(image, 0.0, 1.0)
+
+
+def _header_int(name: str, token: bytes) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"non-numeric PGM {name} {token!r}") from None
 
 
 def _next_token(data: bytes, pos: int):

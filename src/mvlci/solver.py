@@ -80,9 +80,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import (
     RegionMasks,
@@ -92,6 +92,9 @@ from .geometry import (
     build_sampling,
 )
 from .sensing import Aperture, SensingSpec, epsilon_for_noise
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class SolverError(RuntimeError):

@@ -1,10 +1,16 @@
 """End-to-end command-line pipeline: scene -> measure -> reconstruct."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvlci import cli
 from mvlci.cli import build_parser, main
 from mvlci.experiments import CSV_HEADER
 from mvlci.pgm import read_pgm, write_pgm
@@ -229,6 +235,14 @@ def test_measure_rejects_mismatched_views(tmp_path):
     assert main(["measure", "--views", str(tmp_path / "a.pgm"),
                  str(tmp_path / "b.pgm"), "--rate", "0.5",
                  "--out", str(tmp_path / "m.mvm")]) == 2
+
+
+def test_measure_names_a_non_numeric_pgm_header_field(tmp_path, capsys):
+    (tmp_path / "bad.pgm").write_bytes(b"P5\nabc 16\n255\n" + bytes(256))
+    assert main(["measure", "--views", str(tmp_path / "bad.pgm"), "--rate", "0.5",
+                 "--out", str(tmp_path / "m.mvm")]) == 1
+    assert capsys.readouterr().err == "mvlci: non-numeric PGM width b'abc'\n"
+    assert not (tmp_path / "m.mvm").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -709,3 +723,103 @@ def test_main_frames_each_manifest_and_a_failed_command_writes_none(
     assert run(tmp_path / "bad") == 1
     assert capsys.readouterr().err.startswith("mvlci:")
     assert not (tmp_path / "bad" / manifest).exists()
+
+
+# ---------------------------------------------------------------------------
+# one parse tree per process, and scipy only where a sparse operator is built
+# ---------------------------------------------------------------------------
+
+ACQUIRE_ROUND = (
+    ["scene", "--width", "46", "--height", "16", "--seed", "5", "--views",
+     "--out", "scene.pgm"],
+    ["measure", "--views", "view1.pgm", "view2.pgm", "--rate", "0.5",
+     "--noise", "0.01", "--seed", "9", "--out", "m.mvm"],
+)
+
+
+def test_repeated_main_calls_in_one_process_write_the_same_bytes(
+        tmp_path, monkeypatch, capsys):
+    """Two acquire rounds in one process, with usage errors between them,
+    write the same files; relative paths keep the manifests comparable."""
+    def run_round(folder):
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        for argv in ACQUIRE_ROUND:
+            assert main(argv) == 0
+        files = {path.name: path.read_bytes() for path in folder.iterdir()}
+        for name in ("scene.pgm.manifest", "m.mvm.manifest"):
+            files[name] = re.sub(rb"wall_time_s=.*\n", b"", files[name])
+        return files
+
+    first = run_round(tmp_path / "first")
+    with pytest.raises(SystemExit) as exc:
+        main(["scene", "--width", "wide", "--out", "scene.pgm"])
+    assert exc.value.code == 2
+    assert main(["scene", "--views", "--dx", "inf", "--out", "scene.pgm"]) == 2
+    capsys.readouterr()
+    second = run_round(tmp_path / "second")
+    assert sorted(first) == ["m.mvm", "m.mvm.manifest", "scene.pgm",
+                             "scene.pgm.manifest", "view1.pgm", "view2.pgm"]
+    assert second == first
+
+
+def test_main_runs_the_command_function_bound_at_call_time(tmp_path, monkeypatch):
+    argv = ["scene", "--width", "16", "--height", "8", "--out"]
+    assert main(argv + [str(tmp_path / "real.pgm")]) == 0
+    seen = []
+
+    def fake_scene(args):
+        seen.append(args.out)
+        return tmp_path / "fake.manifest", {"fake": 1}
+
+    monkeypatch.setattr(cli, "cmd_scene", fake_scene)
+    assert main(argv + [str(tmp_path / "fake.pgm")]) == 0
+    assert seen == [str(tmp_path / "fake.pgm")]
+    assert not (tmp_path / "fake.pgm").exists()
+    assert read_manifest(tmp_path / "fake.manifest")["fake"] == "1"
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from mvlci.cli import main
+
+out = sys.argv[1]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+for argv in (["--version"], ["--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+codes = [main(argv) for argv in (
+    ["scene", "--width", "46", "--height", "16", "--views",
+     "--out", out + "/scene.pgm"],
+    ["measure", "--views", out + "/view1.pgm", out + "/view2.pgm",
+     "--rate", "0.5", "--out", out + "/m.mvm"],
+    ["reconstruct", "--meas", out + "/m.mvm", "--max-iters", "3",
+     "--out", out + "/single"],
+)]
+before = scipy_modules()
+codes.append(main(["reconstruct", "--meas", out + "/m.mvm", "--mode", "joint",
+                   "--max-iters", "3", "--out", out + "/joint"]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_a_sparse_operator_loads_scipy(tmp_path):
+    """In a fresh interpreter, --version, --help, scene, measure and a
+    single-mode reconstruct load no scipy module; a joint reconstruct,
+    which builds the shift operator, does."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout.splitlines()[-1])
+    assert found["codes"] == [0, 0, 0, 0]
+    assert found["before"] == []
+    assert "scipy.sparse" in found["after"]

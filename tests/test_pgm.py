@@ -86,6 +86,18 @@ def test_rejects_unsupported_maxval(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("field, header", [
+    ("width", b"P5\nabc 1\n255\n"),
+    ("height", b"P5\n1 1.0\n255\n"),
+    ("maxval", b"P5\n1 1\n25x\n"),
+])
+def test_rejects_a_non_numeric_header_field_by_name(tmp_path, field, header):
+    path = tmp_path / "n.pgm"
+    path.write_bytes(header + b"\x00")
+    with pytest.raises(ValueError, match=f"^non-numeric PGM {field} b'"):
+        read_pgm(path)
+
+
 def test_write_rejects_out_of_range_image(tmp_path):
     with pytest.raises(ValueError, match="clamp"):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))

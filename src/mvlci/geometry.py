@@ -6,40 +6,218 @@ parallax shift (dx, dy), so on the pixel grid we model
     view2(x, y) ~= view1(x - dx, y - dy)
 
 with bilinear interpolation and zero fill outside the grid.  build_shift
-materializes that resampling as a sparse matrix U (at most 4 entries per
-row); for integer shifts it degenerates to a partial permutation with
-exact 0/1 entries.  Region masks split each view into the part both
-sensors can see and the per-sensor border strips.
+writes that resampling U as a Stencil: one tap per (y, x) pair of bilinear
+neighbours, each a few rectangles of pixels read at one offset with one
+weight; for integer shifts one tap remains, with weight 1.  Region masks
+split each view into the part both sensors can see and the per-sensor
+border strips.
 
 For super-resolution each sensor k samples a double-width image through
 S(dx_k) = S1 U(2 dx_k), with dx_1 = 0: S1 averages each pair of high-res
 columns, and U is the bilinear shift on the double-width grid.
-build_sampling writes S(dx) as CSR arrays directly, from U's column taps
-without building U.  These two sparse builders import scipy when called,
-so importing this module, or building region masks, loads no scipy.
+build_sampling writes S(dx) as a Stencil whose taps read every second
+high-res column, from U's column taps without building U.
+
+A Stencil's products carry the bits of the sparse matrix products that
+these operators were first written as (tests/test_geometry.py holds that
+COO reference): each output sums its taps from +0.0 in the matrix's row
+order, and each transposed output in ascending order of the rows it
+reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy import sparse
+
+# Rows are applied in blocks of about _BLOCK elements per plane, so that a
+# block's input, output and products stay in a core's cache while every tap
+# runs over it (a 256 x 256 plane takes two blocks).
+_BLOCK = 1 << 15
+# the kinds of step an apply runs
+_ADD, _FIRST, _MUL, _ZERO, _COPY = range(5)
+
+
+class Stencil:
+    """A linear map between two pixel grids held as weighted slice taps.
+
+    Both grids are `planes` planes of one (h, w) plane shape, interleaved
+    along the columns: column planes * u + k of a grid row is column u of
+    plane k.  `taps` lists, in the order each output sums them, the runs of
+    one tap: (y0, y1, oy, u0, u1, pd, od, ps, os, wt) adds wt * in_ps[y + oy,
+    u + os] to out_pd[y, u + od] for y in [y0, y1) and u in [u0, u1).  The
+    transpose sums the taps in the order `order_t`, which must be ascending
+    output order for every input.  `shape` is (outputs, inputs), as for a
+    matrix; `op @ v` maps flat vectors, and `op.T` is the transpose.
+
+    Where every run covers whole rows at oy = 0 (every dy = 0 operator),
+    each tap's longest run into a plane is one 1-D multiply and add over
+    the plane's flattened rows, the first writing the plane.  The wrapped
+    rows land on border columns, which are then zeroed and summed again
+    from every run's 2-D slices, the path that every run of a stencil
+    without that form takes.  An output of two planes is
+    summed in contiguous planes and then copied in.  Every slice, row block
+    and scratch array is fixed here, so an apply is a fixed short list of
+    ufunc calls; as it writes the scratch that the stencil and its
+    transpose share, one stencil serves one caller at a time.
+
+    A sum that starts from its first product rather than from +0.0 differs
+    only where every product is a zero and one is -0.0, where it may end at
+    -0.0 instead of +0.0; adding +0.0 then gives the sum from +0.0 bit for
+    bit.  So the plane's first product adds +0.0 at once, or, for a
+    two-plane output, as it is copied in.
+    """
+
+    def __init__(self, plane, planes_out, planes_in, taps, order_t):
+        back = [[(y0 + oy, y1 + oy, -oy, u0, u1, ps, os, pd, od, wt)
+                 for y0, y1, oy, u0, u1, pd, od, ps, os, wt in taps[k]] for k in order_t]
+        h, w = plane
+        n = h * w
+        scratch = np.empty(n)
+        planes = max(planes_out, planes_in)
+        buf = np.empty((planes, n)) if planes > 1 else None
+
+        def direction(taps, po, pi):
+            """(shape, grids, output planes, steps) of one direction."""
+            return ((po * n, pi * n), ((h, po * w), (h, pi * w)),
+                    None if po == 1 else (buf.reshape(-1), buf.reshape(-1, w)),
+                    _steps(taps, plane, po, pi, scratch))
+
+        # both directions, held without a reference cycle so that a dropped
+        # stencil frees its buffers at once
+        self._dirs = (direction(taps, planes_out, planes_in),
+                      direction(back, planes_in, planes_out))
+
+    @property
+    def shape(self):
+        return self._dirs[0][0]
+
+    @property
+    def T(self):
+        t = object.__new__(Stencil)
+        t._dirs = self._dirs[::-1]
+        return t
+
+    def __matmul__(self, v):
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"vector of shape {v.shape} for a stencil of shape "
+                             f"{self.shape}")
+        return self.apply(v, np.empty(self.shape[0]))
+
+    def apply(self, x, out):
+        """Write op @ x over out and return out; x and out are C-contiguous
+        float64 arrays of the input and output sizes, of any shape, and do
+        not overlap."""
+        _, grids, planes, steps = self._dirs[0]
+        xf, of = x.reshape(-1), out.reshape(-1)
+        ins = (xf, xf.reshape(grids[1]))
+        outs = planes or (of, of.reshape(grids[0]))
+        for kind, d, a, i, wt, s in steps:
+            o = outs[d]
+            if kind == _ADD:
+                np.add(o[a], np.multiply(ins[d][i], wt, out=s), out=o[a])
+            elif kind == _ZERO:
+                o[a] = 0.0
+            elif kind == _COPY:
+                np.add(o[i], 0.0, out=of[a])
+            else:
+                o = o[a]
+                np.multiply(ins[d][i], wt, out=o)
+                if kind == _FIRST:
+                    np.add(o, 0.0, out=o)
+        return out
+
+
+def _steps(taps, plane, planes_out, planes_in, scratch):
+    """One direction's steps (kind, dim, out index, in index, weight,
+    scratch), over the flat (dim 0) or 2-D (dim 1) input and output, the
+    output being the contiguous planes laid end to end when it has two.
+
+    Per block of rows and output plane: the plane's flat ops (_FIRST, or
+    _MUL for a two-plane output, then _ADD per further tap); _ZERO of the
+    border columns, all columns without a flat form; and an _ADD of every
+    run's part on them, a strided 1-D one for a single column.  A two-plane
+    output's block is then copied in, adding +0.0 (_COPY: output slice,
+    plane slice)."""
+    h, w = plane
+    n, pi = h * w, planes_in
+
+    def src(ps, j, m, step):
+        """Input plane ps's m elements from plane index j, step apart."""
+        return slice(pi * j + ps, pi * (j + (m - 1) * step) + ps + 1, pi * step)
+
+    plans = []
+    for pd in range(planes_out):
+        runs = [[r for r in tap if r[5] == pd] for tap in taps]
+        mains = [max(tap, key=lambda r: r[4] - r[3]) for tap in runs if tap]
+        # columns [lo, hi) take every tap from its longest run alone
+        lo = hi = w
+        if mains and all(r[:3] == (0, h, 0) for tap in runs for r in tap):
+            lo = max(r[3] + r[6] for r in mains)
+            hi = min(r[4] + r[6] for r in mains)
+        if lo >= hi:
+            lo = hi = w
+        plans.append((runs, lo, hi, mains if lo < hi else []))
+    steps = []
+    rows = max(1, _BLOCK // w)
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        for pd, (runs, lo, hi, mains) in enumerate(plans):
+            base = pd * n
+            for k, (_, _, _, u0, u1, _, od, ps, os, wt) in enumerate(mains):
+                a, b = max(u0 + od, r0 * w), min((h - 1) * w + u1 + od, r1 * w)
+                first = _FIRST if planes_out == 1 else _MUL
+                steps.append((_ADD if k else first, 0, slice(base + a, base + b),
+                              src(ps, a - od + os, b - a, 1), wt, scratch[:b - a]))
+            for a, b in ((0, lo), (hi, w)):
+                if a < b:
+                    steps.append((_ZERO, 1, (slice(pd * h + r0, pd * h + r1), slice(a, b)),
+                                  None, None, None))
+            for y0, y1, oy, u0, u1, _, od, ps, os, wt in (r for tap in runs for r in tap):
+                y0, y1 = max(y0, r0), min(y1, r1)
+                for ua, ub in ((u0, min(u1, lo - od)), (max(u0, hi - od), u1)):
+                    m, c = y1 - y0, ub - ua
+                    if m <= 0 or c <= 0:
+                        continue
+                    if c == 1:
+                        j = y0 * w + ua + od
+                        steps.append((_ADD, 0, slice(base + j, base + j + (m - 1) * w + 1, w),
+                                      src(ps, (y0 + oy) * w + ua + os, m, w), wt, scratch[:m]))
+                    else:
+                        steps.append((_ADD, 1, (slice(pd * h + y0, pd * h + y1),
+                                                slice(ua + od, ub + od)),
+                                      (slice(y0 + oy, y1 + oy), src(ps, ua + os, c, 1)), wt,
+                                      scratch[:m * c].reshape(m, c)))
+        for k in range(planes_out if planes_out > 1 else 0):
+            steps.append((_COPY, 0, slice(planes_out * r0 * w + k,
+                                          planes_out * (r1 * w - 1) + k + 1, planes_out),
+                          slice(k * n + r0 * w, k * n + r1 * w), None, None))
+    return steps
+
+
+def _runs(src, weights, step=1):
+    """(u0, u1, offset, weight) for each maximal range of outputs u whose
+    source src[u] - step u and weight are constant and the weight nonzero."""
+    off = src - step * np.arange(len(src))
+    cut = np.flatnonzero((off[1:] != off[:-1]) | (weights[1:] != weights[:-1])) + 1
+    bounds = [0, *cut.tolist(), len(src)]
+    return [(a, b, int(off[a]), float(weights[a]))
+            for a, b in zip(bounds, bounds[1:]) if weights[a] != 0.0]
 
 
 @dataclass
 class ShiftOperator:
-    """Sparse resampler computing out(x, y) = in(x - dx, y - dy)."""
+    """Bilinear resampler computing out(x, y) = in(x - dx, y - dy)."""
 
     dx: float
     dy: float
     width: int
     height: int
-    matrix: sparse.csr_matrix
+    matrix: Stencil
 
 
 def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
@@ -50,32 +228,20 @@ def build_shift(dx: float, dy: float, width: int, height: int) -> ShiftOperator:
     weight sum < 1.  Integer displacements produce a 0/1 partial
     permutation.  dx and dy must be finite, |dx| < width and |dy| < height.
 
-    The CSR arrays are assembled directly.  Each (y tap, x tap) plane
-    whose two axes carry some weight fills one column of (pixel, plane)
-    weight and column arrays; the positive weights are kept in row-major
-    order, so each row's columns ascend, and indptr counts them per pixel.
+    Tap (ay, ax) pairs the y taps ay with the x taps ax; its runs are the
+    products of the two axes' runs, each weighted yw * xw and dropped where
+    that product is 0.  Each output sums the taps in (ay, ax) order, which
+    reads its sources in ascending order, so the transpose, which sums
+    each input in ascending output order, takes them in reverse.
     """
-    from scipy import sparse
-
     _require_in_range(dx, dy, width, height)
     xt, xw = _axis_taps(np.arange(width, dtype=np.float64) - dx, width)
     yt, yw = _axis_taps(np.arange(height, dtype=np.float64) - dy, height)
-
-    planes = [(ay, ax) for ay in range(2) for ax in range(2)
-              if yw[:, ay].any() and xw[:, ax].any()]
-    n = width * height
-    idx = sparse.get_index_dtype(maxval=len(planes) * n)
-    val = np.empty((height, width, len(planes)))
-    col = np.empty((height, width, len(planes)), dtype=idx)
-    for p, (ay, ax) in enumerate(planes):
-        np.multiply(yw[:, ay, None], xw[None, :, ax], out=val[:, :, p])
-        col[:, :, p] = yt[:, ay, None] * width + xt[None, :, ax]
-    keep = val > 0.0
-    indptr = np.zeros(n + 1, dtype=idx)
-    for p in range(len(planes)):
-        indptr[1:] += keep[:, :, p].ravel()
-    np.cumsum(indptr, out=indptr)
-    mat = sparse.csr_matrix((val[keep], col[keep], indptr), shape=(n, n))
+    taps = [[(y0, y1, oy, u0, u1, 0, 0, 0, ox, wy * wx)
+             for y0, y1, oy, wy in _runs(yt[:, ay], yw[:, ay])
+             for u0, u1, ox, wx in _runs(xt[:, ax], xw[:, ax]) if wy * wx != 0.0]
+            for ay in range(2) for ax in range(2)]
+    mat = Stencil((height, width), 1, 1, taps, [3, 2, 1, 0])
     return ShiftOperator(dx=dx, dy=dy, width=width, height=height, matrix=mat)
 
 
@@ -93,22 +259,19 @@ def _axis_taps(src: np.ndarray, size: int):
     return taps, weights
 
 
-def build_sampling(dx: float, width: int, height: int) -> sparse.csr_matrix:
-    """Sampling S(dx) = S1 U(2 dx) of the 2*width grid, its CSR arrays
-    written directly: byte for byte those of
-    (S1 @ build_shift(2 dx, 0, 2 width, height).matrix).tocsr(), with
+def build_sampling(dx: float, width: int, height: int) -> Stencil:
+    """Sampling S(dx) = S1 U(2 dx) of the 2*width grid, with
     build_shift's ValueError for |2 dx| >= 2 width.  S1 maps low-res pixel
     p = y*width + x to the mean of high-res columns 2p and 2p + 1.
 
-    U moves no row, so one template over the low-res columns x, tiled over
-    the rows at column offset y * 2 width, is the whole matrix.  The
-    product meets the taps (t0, t1) of high-res 2x, then of 2x + 1, each
-    halved; it sums each column from 0 in that order, where tap 1 of 2x
-    and tap 0 of 2x + 1 share one, and emits the columns last first, that
-    is descending.  Taps at weight 0 (off the grid) are not in U; here
-    they are dropped with any zero sum."""
-    from scipy import sparse
-
+    U moves no row, so one template over the low-res columns x, run over
+    every row, is the whole map.  The product meets the taps (t0, t1) of
+    high-res 2x, then of 2x + 1, each halved; it sums each column from 0 in
+    that order, where tap 1 of 2x and tap 0 of 2x + 1 share one, and sums
+    the columns last first, that is descending: the four taps below, which
+    each step two high-res columns per output.  The transpose sums each
+    high-res column in ascending output order, which is that tap order.
+    Taps at weight 0 (off the grid) are dropped with any zero sum."""
     hw = 2 * width
     _require_in_range(2.0 * dx, 0.0, hw, height)
     taps, weights = _axis_taps(np.arange(hw, dtype=np.float64) - 2.0 * dx, hw)
@@ -118,15 +281,10 @@ def build_sampling(dx: float, width: int, height: int) -> sparse.csr_matrix:
     same = cols[:, 1] == cols[:, 2]
     vals[same, 1] = vals[same, 2] + vals[same, 1]
     vals[same, 2] = 0.0
-    keep = vals != 0.0
-    n_lo = width * height
-    idx = sparse.get_index_dtype(maxval=4 * n_lo)
-    indices = (np.arange(0, hw * height, hw, dtype=idx)[:, None]
-               + cols[keep].astype(idx))
-    indptr = np.zeros(n_lo + 1, dtype=idx)
-    np.cumsum(np.tile(keep.sum(axis=1), height), out=indptr[1:])
-    return sparse.csr_matrix((np.tile(vals[keep], height), indices.ravel(), indptr),
-                             shape=(n_lo, hw * height))
+    # high-res column 2x + c is column x + c // 2 of plane c % 2
+    taps = [[(0, height, 0, u0, u1, 0, 0, c % 2, c // 2, wt)
+             for u0, u1, c, wt in _runs(cols[:, k], vals[:, k], 2)] for k in range(4)]
+    return Stencil((height, width), 1, 2, taps, range(4))
 
 
 def apply_shift(op: ShiftOperator, image: np.ndarray) -> np.ndarray:

@@ -20,12 +20,16 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
-    if not np.all(np.isfinite(img)):
+    # NaN and +-inf each reach the minimum or the maximum
+    lo, hi = float(img.min()), float(img.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("image contains non-finite values")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("image values must lie in [0, 1]; clamp before export")
     h, w = img.shape
-    payload = np.rint(img * maxval).astype(">u2" if maxval == 65535 else "u1").tobytes()
+    scaled = img * maxval
+    payload = np.rint(scaled, out=scaled).astype(">u2" if maxval == 65535 else "u1",
+                                                  order="C")
     header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -61,18 +61,19 @@ rows, and the edge mask E zeroes every difference leaving it.  Only the
 data term needs canvases.
 
 Each Block is one sensor's equation z = A(op B_through x + B_direct x),
-with at most one operator: joint's shift U over c + d1, or superres's
-sampling S_k of the double-width image.  The block's image is composed
-in the work line of the problem's one Aperture, which holds the line and
-the transform's views and buffer for the whole solve: the windows seen
-through the operator are added into the zeroed line, which the
-operator's product, a new array, then overwrites, the direct windows are
-added into that product, the padding past pixel_count is zeroed before
-each transform, and the adjoint, a view of the line, is cropped back to
-each window before the next transform.  A component whose window is the
-whole canvas is its own canvas, so single-view solves run the
-full-canvas operations unchanged.  The outputs are laid on zeroed
-canvases once, at return.
+with at most one operator, a geometry.Stencil: joint's shift U over
+c + d1, or superres's sampling S_k of the double-width image.  The
+block's image is composed in the work line of the problem's one
+Aperture, which holds the line and the transform's views and buffer for
+the whole solve: the windows seen through the operator are added into
+the problem's zeroed canvas (the double-width image is its own), the
+operator writes its product over the line, the direct windows are added
+into it, the padding past pixel_count is zeroed before each transform,
+and the adjoint, a view of the line, is cropped back to each window
+before the next transform; the operator's transpose writes its product
+over the canvas.  A component whose window is the whole canvas is its
+own canvas, so single-view solves run the full-canvas operations
+unchanged.  The outputs are laid on zeroed canvases once, at return.
 """
 
 from __future__ import annotations
@@ -80,21 +81,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import (
     RegionMasks,
     ShiftOperator,
+    Stencil,
     apply_shift,
     build_region_masks,
     build_sampling,
 )
 from .sensing import Aperture, SensingSpec, epsilon_for_noise
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 class SolverError(RuntimeError):
@@ -284,11 +282,11 @@ class Component:
 @dataclass
 class Block:
     """One sensor's equation z = A(op B_through x + B_direct x): the
-    components in `through` are seen through the CSR operator op, those in
+    components in `through` are seen through the stencil op, those in
     `direct` as they are."""
     z: np.ndarray             # raw measurement vector
     direct: list              # component indices
-    op: sparse.csr_matrix | None = None
+    op: Stencil | None = None
     through: tuple = ()
 
 
@@ -330,11 +328,12 @@ class Problem:
         ends = np.cumsum([0] + [math.prod(c.window_shape) for c in comps]).tolist()
         self.spans = list(zip(ends, ends[1:], [c.window_shape for c in comps]))
         self.size = ends[-1]
-        # one work line for every transform of the solve
+        # one work line for every transform of the solve, and one canvas of
+        # the operators' input grid: the image an operator reads is composed
+        # in it, and its transpose products are written over it
         self.aperture = Aperture(spec)
-        # each block operator's transpose, taken once: op.T is a CSC view of
-        # the CSR op that sums in the order a CSR copy of it would
-        self.op_t = [None if b.op is None else b.op.T for b in blocks]
+        self.canvas = next((np.empty(comps[b.through[0]].shape) for b in blocks
+                            if b.op is not None), None)
 
     # -- builders -----------------------------------------------------------
 
@@ -437,9 +436,9 @@ class Problem:
 
     def forward(self, xl, bi):
         """A_bar applied to the composed image of block bi, composed in the
-        aperture's line: the operator's product, if the block has one, with
-        the direct components added into it.  The product is a new array,
-        so the image it reads may be composed in the line it overwrites."""
+        aperture's line: the operator's product, if the block has one,
+        written over the line from the image composed in the problem's
+        canvas, with the direct components added into it."""
         b = self.blocks[bi]
         img = self.aperture.image
         canvas = img.reshape(self.comps[b.direct[0]].shape)
@@ -448,7 +447,7 @@ class Problem:
             if own is not canvas:
                 canvas[...] = own
         else:
-            img[...] = b.op @ self._compose(xl, b.through, canvas).ravel()
+            b.op.apply(self._compose(xl, b.through, self.canvas), img)
             self._add(xl, b.direct, canvas)
         z = self.aperture.forward()
         z /= self.scale
@@ -459,11 +458,11 @@ class Problem:
         b = self.blocks[bi]
         g = self.aperture.adjoint(r)    # a view of the line
         g /= self.scale
-        # op.T @ g is taken before g is scaled in place; each product is
-        # scaled and cropped to its components' windows
+        # op.T g, written over the canvas, is taken before g is scaled in
+        # place; each product is scaled and cropped to its components' windows
         vs = [(g, b.direct)]
         if b.op is not None:
-            vs.append((self.op_t[bi] @ g, b.through))
+            vs.append((b.op.T.apply(g, self.canvas), b.through))
         for v, cis in vs:
             v *= factor
             for ci in cis:

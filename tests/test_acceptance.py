@@ -25,6 +25,7 @@ from mvlci.sensing import (
     write_mvm,
 )
 from mvlci.solver import reconstruct_joint, reconstruct_single
+from test_geometry import dense
 
 
 def report(name, ok, detail):
@@ -75,7 +76,7 @@ def test_ac2_geometry_correctness():
     t0 = time.perf_counter()
     # integer shifts: exact 0/1 partial permutation
     op = build_shift(5.0, -2.0, 32, 24)
-    mat = op.matrix.toarray()
+    mat = dense(op.matrix)
     img = np.arange(32 * 24, dtype=np.float64).reshape(24, 32)
     expected = np.zeros((24, 32))
     expected[:22, 5:] = img[2:, :27]

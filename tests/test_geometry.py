@@ -1,6 +1,12 @@
-"""Shift operators and region masks."""
+"""Shift and sampling operators and region masks.
 
+The operators are checked against references built here with scipy.sparse
+(a test-only dependency): their products must equal those of the COO
+assembly, and of its product with the pair average, byte for byte."""
+
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from mvlci.geometry import (
     RegionMasks,
     apply_shift,
     build_region_masks,
+    build_sampling,
     build_shift,
 )
 from mvlci.scene import CameraGeometry, parallax_shift
@@ -19,9 +26,14 @@ from mvlci.scene import CameraGeometry, parallax_shift
 # shift operator
 # ---------------------------------------------------------------------------
 
+def dense(op):
+    """The matrix of a linear operator, column j being op @ e_j."""
+    return np.stack([op @ e for e in np.eye(op.shape[1])], axis=1)
+
+
 def test_integer_shift_is_a_partial_permutation():
     op = build_shift(3.0, 0.0, 16, 8)
-    mat = op.matrix.toarray()
+    mat = dense(op.matrix)
     assert set(np.unique(mat)) <= {0.0, 1.0}
     # every row has at most one tap; the first 3 columns of the output are
     # zero-filled, so exactly 3 rows per line are empty
@@ -59,7 +71,7 @@ def test_fractional_shift_reproduces_a_ramp_exactly():
 
 def test_fractional_shift_row_weights():
     op = build_shift(3.5, 0.0, 16, 4)
-    mat = op.matrix.toarray()
+    mat = dense(op.matrix)
     sums = mat.sum(axis=1).reshape(4, 16)
     # interior rows interpolate two taps summing to 1
     assert np.allclose(sums[:, 4:], 1.0, atol=1e-15)
@@ -73,7 +85,7 @@ def test_shift_transpose_matches_matrix_transpose():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(100)
     v = rng.standard_normal(100)
-    assert abs(np.dot(op.matrix @ u, v) - np.dot(u, op.matrix.T.tocsr() @ v)) < 1e-12
+    assert abs(np.dot(op.matrix @ u, v) - np.dot(u, op.matrix.T @ v)) < 1e-12
 
 
 @pytest.mark.parametrize("dx,dy", [(16.0, 0.0), (-16.0, 0.0), (0.0, 8.0)])
@@ -135,14 +147,26 @@ def coo_build_shift_matrix(dx, dy, width, height):
     return sparse.csr_matrix((n, n))
 
 
-def assert_same_csr(got, want):
-    """Equal shape, and equal indptr, indices and data, dtypes and bytes."""
-    assert got.format == want.format == "csr"
-    assert got.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype, part
-        assert a.tobytes() == b.tobytes(), part
+def probe_vectors(n, seed):
+    """A standard normal vector, the same scaled by 1e-300, and a normal
+    vector with about a fifth -0.0 and a tenth +0.0 entries."""
+    rng = np.random.default_rng(seed)
+    v, z = rng.standard_normal(n), rng.standard_normal(n)
+    u = rng.uniform(size=n)
+    z[u < 0.2] = -0.0
+    z[(u >= 0.2) & (u < 0.3)] = 0.0
+    return [v, v * 1e-300, z]
+
+
+def assert_same_products(op, ref):
+    """op @ v equals ref @ v and op.T @ v equals ref.T @ v (scipy's CSC
+    view of the CSR ref, which sums each output in ascending order of the
+    rows it reads), dtype and bytes, on each probe vector."""
+    assert op.shape == ref.shape
+    for got, want in ((op, ref), (op.T, ref.T)):
+        for v in probe_vectors(want.shape[1], want.shape[1]):
+            a, b = got @ v, want @ v
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # the far-field shift of the studies and the benchmark, 3.4999996...
@@ -167,10 +191,67 @@ UNDER_8 = math.nextafter(8.0, 0.0)
     (-1e-300, -1e-300, 16, 8), (-1e-300, 1e-300, 16, 8), (-1e-300, -1e-300, 1, 1),
     # the study, benchmark and superres-grid shifts
     (FAR_DX, 0.0, 64, 64), (FAR_DX, 0.0, 256, 256), (2.0 * FAR_DX, 0.0, 512, 256),
+    # row blocks of unequal height, and weights that change along each row
+    (1.25, 0.0, 300, 230), (0.3, -1.5, 300, 230),
 ])
 def test_shift_csr_equals_the_coo_assembly(dx, dy, width, height):
-    assert_same_csr(build_shift(dx, dy, width, height).matrix,
-                    coo_build_shift_matrix(dx, dy, width, height))
+    """The shift's products are those of the COO assembly's CSR matrix,
+    forward and transposed, bit for bit."""
+    assert_same_products(build_shift(dx, dy, width, height).matrix,
+                         coo_build_shift_matrix(dx, dy, width, height))
+
+
+def dense_shift(dx, dy, width, height):
+    """U as a dense matrix: the outer (Kronecker) product of the per-axis
+    bilinear matrices built from loop_axis_taps."""
+    axes = []
+    for d, n in ((dy, height), (dx, width)):
+        taps, weights = loop_axis_taps(np.arange(n, dtype=np.float64) - d, n)
+        m = np.zeros((n, n))
+        for i in range(n):
+            for k in range(2):
+                m[i, taps[i, k]] += weights[i, k]
+        axes.append(m)
+    return np.kron(*axes)
+
+
+@pytest.mark.parametrize("dx,dy", [(2.5, -1.25), (-3.75, 0.5), (0.3, 0.0),
+                                   (-0.7, 2.25), (FAR_DX, 0.0), (-FAR_DX, -0.6)])
+def test_operators_match_dense_oracles_and_their_transposes_are_adjoints(dx, dy):
+    """At 12x20, U and (for dy = 0) S = S1 U(2 dx) agree with dense
+    matrices built from the axis taps, and <A x, y> = <x, A^T y>."""
+    width, height = 20, 12
+    rng = np.random.default_rng(5)
+    cases = [(build_shift(dx, dy, width, height).matrix,
+              dense_shift(dx, dy, width, height))]
+    if dy == 0.0 and abs(dx) < width / 2:
+        s1 = np.kron(np.eye(width * height // 2), [0.5, 0.5])
+        cases.append((build_sampling(dx, width // 2, height),
+                      s1 @ dense_shift(2 * dx, 0.0, width, height)))
+    for op, mat in cases:
+        assert op.shape == mat.shape
+        assert np.allclose(dense(op), mat, rtol=0.0, atol=1e-15)
+        assert np.allclose(dense(op.T), mat.T, rtol=0.0, atol=1e-15)
+        x, y = rng.standard_normal(op.shape[1]), rng.standard_normal(op.shape[0])
+        assert abs(np.dot(op @ x, y) - np.dot(x, op.T @ y)) < 1e-12
+
+
+def test_a_dropped_operator_frees_its_buffers_without_the_cycle_collector():
+    """A stencil and its transpose hold no reference cycle, so each solve's
+    operators (and their scratch arrays) go when the last reference does;
+    objects in a cycle wait for a full collection, and a run of 256x256
+    solves would pile them up."""
+    gc.disable()
+    try:
+        for build in (lambda: build_shift(2.5, -1.25, 16, 8).matrix,
+                      lambda: build_sampling(3.5, 8, 4)):
+            op = build()
+            ref, transposed = weakref.ref(op), op.T
+            assert transposed.T.shape == op.shape
+            del op, transposed
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_apply_shift_validates_image_shape():

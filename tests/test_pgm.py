@@ -104,8 +104,21 @@ def test_write_rejects_out_of_range_image(tmp_path):
 
 
 def test_write_rejects_non_finite_image(tmp_path):
-    with pytest.raises(ValueError, match="finite"):
-        write_pgm(tmp_path / "x.pgm", np.array([[np.nan]]))
+    """NaN or an infinity anywhere, beside values in range or out of it."""
+    for row in ([np.nan], [0.5, np.inf], [-np.inf, 0.5], [0.2, np.nan, 0.9],
+                [2.0, np.nan], [np.nan, -1.0]):
+        with pytest.raises(ValueError, match="^image contains non-finite values$"):
+            write_pgm(tmp_path / "x.pgm", np.array([row]))
+    assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_write_pgm_of_a_strided_or_transposed_view_writes_its_values(tmp_path, maxval):
+    base = _random_image(3, 12, 10)
+    for name, view in (("strided", base[::2, 1::3]), ("transposed", base.T)):
+        path = tmp_path / f"{name}.pgm"
+        write_pgm(path, view, maxval=maxval)
+        assert path.read_bytes() == reference_pgm_bytes(np.ascontiguousarray(view), maxval)
 
 
 def test_clamp01_clips_overshoot():

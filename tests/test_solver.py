@@ -31,7 +31,7 @@ from mvlci.solver import (
     tv_grad_adjoint,
     tv_shrink,
 )
-from test_geometry import assert_same_csr
+from test_geometry import assert_same_products, coo_build_shift_matrix
 
 
 def make_spec(order, rate, seed, pixel_count):
@@ -339,9 +339,9 @@ def float_edge_mask(comp):
 def assembled_normal(problem, xl, mu):
     """H x assembled from whole full-canvas lists: every masked gradient
     and every block's forward product first, then mu D^T g, then each
-    block's adjoint through a CSR copy of its operator's transpose.  A block's image is its operator
-    applied once to the sum of the components behind it, plus the sum of
-    its direct components, as in A (U(c + d1) + d2).  Returns H x, the
+    block's adjoint through its operator's transpose.  A block's image is
+    its operator applied once to the sum of the components behind it, plus
+    the sum of its direct components, as in A (U(c + d1) + d2).  Returns H x, the
     gradients and the forwards."""
     def summed(cis):
         u = xl[cis[0]].ravel().copy()
@@ -361,7 +361,7 @@ def assembled_normal(problem, xl, mu):
         g = measure_adjoint(f, problem.spec) / problem.scale
         views = [(ci, g) for ci in b.direct]
         if b.op is not None:
-            views += [(ci, b.op.T.tocsr() @ g) for ci in b.through]
+            views += [(ci, b.op.T @ g) for ci in b.through]
         for ci, v in views:
             out[ci] += mu * v.reshape(problem.comps[ci].shape)
     for c, x in zip(problem.comps, out):
@@ -527,8 +527,9 @@ def test_engine_forward_and_adjoint_allocate_only_the_measurements(mode):
     into or out of it through iteration buffers of getbufsize() elements
     (two at most, 128 KiB), still a quarter of one order-length array.
     Joint's block 1 (joint-shifted), z2 = A(U(c + d1) + d2), composes
-    c + d1 in the line, which U's product then overwrites: it adds the
-    products U (c + d1) and U^T g, one at a time, and no zeroed canvas."""
+    c + d1 in the problem's canvas, and U writes its product over the
+    line and U^T g over the canvas: it adds no product and no zeroed
+    canvas."""
     size = 256
     spec = make_spec(65536, 0.125, 42, pixel_count=size * size)
     z = np.zeros(spec.count)
@@ -552,8 +553,7 @@ def test_engine_forward_and_adjoint_allocate_only_the_measurements(mode):
     finally:
         tracemalloc.stop()
     strided = 0 if mode == "single" else 2 * 8 * np.getbufsize()
-    product = 8 * size * size if bi else 0
-    assert peak <= fwd.nbytes + product + strided + 4096
+    assert peak <= fwd.nbytes + strided + 4096
 
 
 @pytest.mark.parametrize("mode", ["joint", "superres"])
@@ -902,33 +902,34 @@ def test_pair_average_matrix_averages_pairs():
 
 
 def shifted_pair_average_by_product(dx, width, height):
-    """S(dx) = S1 U(2 dx) as the sparse product of the two operators, the
-    reference for the directly assembled CSR arrays.  S1's row p holds 0.5
-    at columns 2p and 2p + 1."""
+    """S(dx) = S1 U(2 dx) as the sparse product of S1 and the COO assembly
+    of U, the reference whose products build_sampling's must equal.  S1's
+    row p holds 0.5 at columns 2p and 2p + 1."""
     n_lo = width * height
     idx = sparse.get_index_dtype(maxval=2 * n_lo)
     s1 = sparse.csr_matrix(
         (np.full(2 * n_lo, 0.5), np.arange(2 * n_lo, dtype=idx),
          np.arange(0, 2 * n_lo + 1, 2, dtype=idx)),
         shape=(n_lo, 2 * n_lo))
-    return (s1 @ build_shift(2.0 * dx, 0.0, 2 * width, height).matrix).tocsr()
+    return (s1 @ coo_build_shift_matrix(2.0 * dx, 0.0, 2 * width, height)).tocsr()
 
 
 @pytest.mark.parametrize("dx", [0.0, 3.5, 3.499999650000035, -2.5, 1.25, 0.3,
                                 -0.7, 0.001, -0.999, 7.5, 15.5])
 def test_shifted_pair_average_csr_equals_the_product(dx):
-    """Byte for byte the product's arrays, dtypes included, on every grid
-    the shift fits (|2 dx| < 2 width), and build_shift's ValueError on the
-    others.  dx = 0 is sensor 1's S1, whose rows the product writes in
-    descending column order.  3.499999650000035 is the benchmark's
-    far-field shift."""
-    for width, height in ((1, 1), (3, 2), (8, 4), (16, 16), (64, 64), (256, 256)):
+    """Byte for byte the sparse product's products, forward and transposed,
+    on every grid the shift fits (|2 dx| < 2 width), and build_shift's
+    ValueError on the others.  dx = 0 is sensor 1's S1, whose rows the
+    product writes in descending column order.  3.499999650000035 is the
+    benchmark's far-field shift."""
+    for width, height in ((1, 1), (3, 2), (8, 4), (16, 16), (64, 64), (256, 256),
+                          (150, 301)):
         if abs(dx) < width:
-            assert_same_csr(build_sampling(dx, width, height),
-                            shifted_pair_average_by_product(dx, width, height))
+            assert_same_products(build_sampling(dx, width, height),
+                                 shifted_pair_average_by_product(dx, width, height))
             continue
         with pytest.raises(ValueError) as want:
-            shifted_pair_average_by_product(dx, width, height)
+            build_shift(2.0 * dx, 0.0, 2 * width, height)
         with pytest.raises(ValueError, match="out of range") as got:
             build_sampling(dx, width, height)
         assert str(got.value) == str(want.value)

@@ -1,7 +1,6 @@
 """Module boundaries: no mvlci module, test or tool imports a private
 (underscore-prefixed) name of an mvlci module, no mvlci module imports
-scipy when it is itself imported, and in the CLI only `main` frames a
-manifest."""
+scipy, and in the CLI only `main` frames a manifest."""
 
 import ast
 from pathlib import Path
@@ -37,36 +36,24 @@ def test_no_module_imports_another_modules_private_names():
     assert not bad, "\n".join(bad)
 
 
-def import_time_imports(path: Path) -> list:
-    """(line, module) for each import statement that runs when the module
-    is imported: outside function bodies and outside `if TYPE_CHECKING:`."""
+def imports(path: Path) -> list:
+    """(line, module) for each import statement anywhere in the module,
+    function bodies and `if TYPE_CHECKING:` blocks included."""
     found = []
-
-    def visit(nodes):
-        for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.If) and ast.unparse(node.test) in (
-                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
-                visit(node.orelse)
-                continue
-            if isinstance(node, ast.Import):
-                found.extend((node.lineno, alias.name) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.append((node.lineno, node.module))
-            visit(ast.iter_child_nodes(node))
-
-    visit(ast.parse(path.read_text(encoding="utf-8")).body)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
     return found
 
 
-def test_no_mvlci_module_imports_scipy_at_import_time():
-    """scipy is loaded only where a sparse operator is built, so the CLI's
-    scene, measure and single-mode reconstruct start without it."""
+def test_no_mvlci_module_imports_scipy():
+    """The package runs on numpy alone; scipy is a test-only dependency."""
     paths = sorted((ROOT / "src" / "mvlci").glob("*.py"))
     assert paths
     bad = [f"{path.relative_to(ROOT)}:{line}: imports {module}"
-           for path in paths for line, module in import_time_imports(path)
+           for path in paths for line, module in imports(path)
            if module == "scipy" or module.startswith("scipy.")]
     assert not bad, "\n".join(bad)
 

@@ -1,0 +1,59 @@
+"""Time the shift and sampling operators' products, forward and transposed.
+
+For the tree on PYTHONPATH, prints one JSON object: per operator (U, S(0)
+and S(dx) at the studies' far-field shift, on 64x64 and 256x256 grids)
+and side (`forward`, `transpose`), the minimum over `--repeats` repeats
+of the mean time of one `op @ v`, and of `op.apply(v, out)` into a kept
+output where the operator has it, in microseconds.  Any operator with
+`shape`, `@` and `.T` is timed, so two checkouts compare like for like:
+
+    PYTHONPATH=<checkout>/src python tools/operator_bench.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import timeit
+
+import numpy as np
+
+from mvlci.geometry import build_sampling, build_shift
+from mvlci.scene import CameraGeometry, parallax_shift
+
+
+def operators(size: int) -> dict:
+    geo = CameraGeometry(aperture_width=64, aperture_height=64,
+                         sensor_offsets=[(0.0, 0.0), (3.5, 0.0)],
+                         sensor_plane_distance=1.0, scene_distance=1.0e7)
+    dx, _ = parallax_shift(geo, 2)
+    return {f"U.{size}": build_shift(dx, 0.0, size, size).matrix,
+            f"S0.{size}": build_sampling(0.0, size, size),
+            f"Sdx.{size}": build_sampling(dx, size, size)}
+
+
+def timings(repeats: int) -> dict:
+    """{operator: {side: {"matmul_us": t, "apply_us": t or None}}}."""
+    out = {}
+    for size in (64, 256):
+        number = 400 if size == 64 else 40
+        for name, op in operators(size).items():
+            out[name] = {}
+            for side, m in (("forward", op), ("transpose", op.T)):
+                v = np.random.default_rng(m.shape[1]).standard_normal(m.shape[1])
+                row = {"matmul_us": min(timeit.repeat(lambda: m @ v, number=number,
+                                                      repeat=repeats)) / number * 1e6,
+                       "apply_us": None}
+                if hasattr(m, "apply"):
+                    dst = np.empty(m.shape[0])
+                    row["apply_us"] = min(timeit.repeat(
+                        lambda: m.apply(v, dst), number=number,
+                        repeat=repeats)) / number * 1e6
+                out[name][side] = row
+    return out
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    print(json.dumps(timings(parser.parse_args().repeats)))

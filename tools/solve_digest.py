@@ -37,15 +37,17 @@ superres, all at the default --sigma), the rows select_rows picks at
 1..9, on apertures of 12x20, 1x20, 12x1 and 1x1, at shifts that are
 zero, whole on the base grid and fractional of both signs on each axis
 (with the error message where the window leaves the base), and
-the CSR arrays of six sparse operators:
+the products, forward and transposed, of six operators on a normal
+vector, the same scaled by 1e-300 and one with zeros of both signs:
 build_shift at the study shift on 64x64, at the benchmark shift on
 256x256 and at twice it on the 512x256 superres grid, an integer shift
 with dy != 0 and a negative fractional shift, and the 64x64 superres
 sensor-1 sampling build_sampling(0, ...), (section `operators.superres`)
-superres's sensor-2 sampling build_sampling(dx, ...) at the study shift
-on 64x64 and at the benchmark shift on 256x256, (section `tv`) tv_grad,
-tv_grad_adjoint and tv_shrink on one-row, one-column, empty, strided and
-transposed inputs with zeros of both signs, and (section `cli.experiment`) the report that
+the same of superres's sensor-2 sampling build_sampling(dx, ...) at the
+study shift on 64x64 and at the benchmark shift on 256x256, (section
+`tv`) tv_grad, tv_grad_adjoint and tv_shrink on one-row, one-column,
+empty, strided and transposed inputs with zeros of both signs, and
+(section `cli.experiment`) the report that
 `mvlci experiment --which fig4` prints and the files it writes; 10-20 s
 on two cores.
 `--reduced` runs the three modes and the stacked solve at 16x16 and the
@@ -316,14 +318,17 @@ def _views(h) -> None:
 
 
 def _operators(d: _Digest) -> None:
-    """Shape, indptr, indices and data (each with its dtype) of the shift
-    and sampling operators the solves build, with superres's sensor-2
-    sampling S2 in a section of its own, `operators.superres`."""
+    """Shape, and the products forward and transposed on each of three
+    vectors (`_probes`), of the shift and sampling operators the solves
+    build, with superres's sensor-2 sampling S2 in a section of its own,
+    `operators.superres`.  Any linear operator with `shape`, `@` and `.T`
+    can be digested, so trees that represent the operators differently
+    compare product for product."""
     geo = CameraGeometry(aperture_width=64, aperture_height=64,
                          sensor_offsets=[(0.0, 0.0), (DX, 0.0)],
                          sensor_plane_distance=1.0, scene_distance=1.0e7)
     dx_eff, _ = parallax_shift(geo, 2)
-    mats = {
+    ops = {
         "shift.64": build_shift(dx_eff, 0.0, 64, 64).matrix,
         "shift.256": build_shift(dx_eff, 0.0, 256, 256).matrix,
         "shift.superres.512x256": build_shift(2.0 * dx_eff, 0.0, 512, 256).matrix,
@@ -333,12 +338,21 @@ def _operators(d: _Digest) -> None:
     }
     s2 = {f"shifted_pair_average.{size}":
           build_sampling(dx_eff, size, size) for size in (64, 256)}
-    for section, group in (("operators", mats), ("operators.superres", s2)):
+    for section, group in (("operators", ops), ("operators.superres", s2)):
         h = d.part(section)
-        for name, mat in group.items():
-            _put(h, f"{name}.shape", mat.shape)
-            for part in ("indptr", "indices", "data"):
-                _put(h, f"{name}.{part}", getattr(mat, part))
+        for name, op in group.items():
+            _put(h, f"{name}.shape", op.shape)
+            for side, m in (("forward", op), ("transpose", op.T)):
+                for k, v in enumerate(_probes(m.shape[1])):
+                    _put(h, f"{name}.{side}.{k}", m @ v)
+
+
+def _probes(n: int) -> list:
+    """Three length-n vectors: standard normal, the same scaled by 1e-300,
+    and normal with zeros of both signs (`_signed`)."""
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    return [v, v * 1e-300, _signed(rng, n)]
 
 
 def _signed(rng, shape) -> np.ndarray:

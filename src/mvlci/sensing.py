@@ -16,7 +16,8 @@ must stay bit-identical to the natural-order butterfly: the solver's stop
 rule turns a last-ulp difference into a different stopping iteration.
 An Aperture holds one spec's order-length work line and the transform's
 views and buffer on it, so repeated applications of A and A^T allocate
-only their measurement vectors; the solver keeps one per solve.
+only their measurement vectors, and a forward given its output allocates
+nothing; the solver keeps one per solve.
 
 Measurement sets are serialized in a small self-describing container
 ("MVM1"): a text header followed by little-endian binary payload, exact
@@ -213,7 +214,8 @@ def select_rows(order: int, rate: float, seed: int) -> np.ndarray:
 class Aperture:
     """The measurement map of one spec on an order-length work line it
     keeps, with the line's fwht stages, so that repeated applications
-    allocate nothing but their measurement vectors.
+    allocate nothing but their measurement vectors, and a forward given
+    its output nothing at all.
 
     forward() measures the image written in `image`, the line's first
     pixel_count entries; adjoint(v) returns A^T v as `image` itself.  Each
@@ -227,13 +229,16 @@ class Aperture:
         self.image = self.line[: spec.pixel_count]
         self.stages = _plan(self.line)
 
-    def forward(self) -> np.ndarray:
-        """z = A x for the flattened image x in `image`, as a new vector."""
+    def forward(self, out=None) -> np.ndarray:
+        """z = A x for the flattened image x in `image`, written over `out`
+        (one float64 entry per selected row) or a new vector."""
         spec, line = self.spec, self.line
         if spec.pixel_count < spec.order:
             line[spec.pixel_count:] = 0.0
         total = self.image.sum()
-        z = fwht(line, self.stages)[spec.rows]
+        # rows lie in [0, order), so clip changes no index; mode="raise"
+        # would stage the gather through a copy of out
+        z = np.take(fwht(line, self.stages), spec.rows, out=out, mode="clip")
         return np.multiply(np.add(z, total, out=z), 0.5, out=z)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:

@@ -42,11 +42,21 @@ operators need not rebuild them.
 
 Across an iteration the solve keeps x, the splits w = D x with their
 multipliers, the fidelity multipliers, and g = E D x and A x of the current
-x.  The shrink, both multiplier updates, the right-hand side and the CG
-vectors are updated in place; the normal operator forms one component's
-gradient, one difference direction at a time, or one block's
-measurements at a time and drops it once taken back through its adjoint,
-and CG writes H p over one array per solve.
+x.  Every array that the iteration and CG touch is a view of one float64
+working block that the solve allocates at its start and frees before it
+lays out the outputs, so the loop allocates no array: x and the previous
+x; w, its multipliers and g; each block's A x, fidelity targets and
+multipliers; and one stretch for the CG residual r and the normal
+operator's scratch.  Buffers whose lives do not overlap share space: g
+holds CG's p and H p (and first the right-hand side's TV term), A x
+holds its data terms, the previous x holds the right-hand side, and r's
+stretch holds the shrink's |v|, the objective's |g| and the change in x.
+The normal operator forms one component's gradient, one difference
+direction at a time, or one block's measurements at a time in that
+scratch and drops it once taken back through its adjoint.  Freeing one
+block that holds the working set raises glibc's mmap and trim
+thresholds, so a later large solve reuses heap that is already mapped
+rather than faulting its memory in again.
 
 Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
@@ -184,13 +194,14 @@ def _tv_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def tv_grad(image: np.ndarray) -> np.ndarray:
-    """Forward differences with replicate boundary, stacked as (2, h, w)."""
+def tv_grad(image: np.ndarray, out=None) -> np.ndarray:
+    """Forward differences with replicate boundary, stacked as (2, h, w),
+    written over `out` (C-contiguous float64 of that shape) when given."""
     img = np.ascontiguousarray(image, dtype=np.float64)
-    g = np.zeros((2,) + img.shape)
+    g = np.empty((2,) + img.shape) if out is None else out
     for k in (0, 1):
         _diff(img, k, g[k])
-    g[0][:, -1:] = 0.0
+    g[0][:, -1:] = g[1][-1:] = 0.0    # the entries D leaves empty
     return g
 
 
@@ -202,11 +213,13 @@ def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
     return _tv_adjoint(g, np.zeros(g.shape[1:]))
 
 
-def tv_shrink(values: np.ndarray, threshold: float, out=None) -> np.ndarray:
+def tv_shrink(values: np.ndarray, threshold: float, out=None, work=None) -> np.ndarray:
     """Soft threshold toward zero: sign(v) * max(|v| - threshold, 0), into
-    `out` when given (it may be `values` itself)."""
+    `out` when given (it may be `values` itself).  |v| is formed in
+    `work`, an array shaped as v that overlaps neither, or else in the
+    one temporary."""
     v = np.asarray(values, dtype=np.float64)
-    mag = np.abs(v)    # the one temporary
+    mag = np.abs(v, out=work)
     mag -= threshold
     np.maximum(mag, 0.0, out=mag)
     return np.multiply(np.sign(v, out=out), mag, out=out)
@@ -300,6 +313,10 @@ class Problem:
     with one block per sensor, all measured through the same spec and
     solved under cfg.  Problem.single, .joint and .superres build it from
     the arguments that the matching reconstruct_* takes; solve() runs it."""
+
+    # while a solve runs: CG's p and H p, and normal's scratch (one window
+    # per component and one measurement vector), views of its working block
+    _work = (None, None, None, None)
 
     def __init__(self, spec: SensingSpec, comps, blocks, cfg: SolverConfig):
         self.spec = spec
@@ -427,18 +444,22 @@ class Problem:
             canvas = np.zeros(c.shape)
         else:
             canvas.fill(0.0)
-        self._add(xl, cis, canvas)
+        # +0.0 + x, as the first add into the zeros would form it, without
+        # an aliased in-place add
+        np.add(xl[cis[0]], 0.0, out=canvas[c.window])
+        self._add(xl, cis[1:], canvas)
         return canvas
 
     def _add(self, xl, cis, canvas):
         for ci in cis:
             canvas[self.comps[ci].window] += xl[ci]
 
-    def forward(self, xl, bi):
+    def forward(self, xl, bi, out=None):
         """A_bar applied to the composed image of block bi, composed in the
         aperture's line: the operator's product, if the block has one,
         written over the line from the image composed in the problem's
-        canvas, with the direct components added into it."""
+        canvas, with the direct components added into it.  The
+        measurements are written over `out` or a new vector."""
         b = self.blocks[bi]
         img = self.aperture.image
         canvas = img.reshape(self.comps[b.direct[0]].shape)
@@ -449,7 +470,7 @@ class Problem:
         else:
             b.op.apply(self._compose(xl, b.through, self.canvas), img)
             self._add(xl, b.direct, canvas)
-        z = self.aperture.forward()
+        z = self.aperture.forward(out)
         z /= self.scale
         return z
 
@@ -469,17 +490,23 @@ class Problem:
                 c = self.comps[ci]
                 out[ci] += v.reshape(c.shape)[c.window]
 
-    def grad(self, x, ci):
-        """E_c D x_c: component ci's masked TV differences on its window."""
-        g, e = tv_grad(x), self.comps[ci].edges
-        return g if e is None else np.multiply(g, e, out=g)
+    def grad(self, x, ci, out=None):
+        """E_c D x_c: component ci's masked TV differences on its window,
+        written over `out` or a new array."""
+        g, e = tv_grad(x, out), self.comps[ci].edges
+        # one direction at a time, so numpy casts E through half the buffer
+        for k in range(0 if e is None else 2):
+            g[k] *= e[k]
+        return g
 
     def normal(self, xl, mu, g=None, fwd=None, out=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
         written over the _Vec `out` or a new one.  Each E_c D x_c and
         A_bar B_b x is dropped once taken back through its adjoint, and a
         fresh E_c D x_c is formed one direction at a time; a caller that
-        carries them for this x passes them as g, fwd."""
+        carries them for this x passes them as g, fwd.  Inside a solve the
+        fresh direction and the measurements are formed in its scratch."""
+        _, _, ds, zs = self._work
         if out is None:
             out = self.vec()
         out.flat.fill(0.0)
@@ -487,7 +514,7 @@ class Problem:
             if g is not None:
                 _tv_adjoint(g[ci], h)
                 continue
-            d, e = np.empty(x.shape), self.comps[ci].edges
+            d, e = np.empty(x.shape) if ds is None else ds[ci], self.comps[ci].edges
             for k in (0, 1):
                 dk = _diff(x, k, d)
                 if e is not None:
@@ -497,7 +524,7 @@ class Problem:
                 _diff_adjoint(dk, k, h)
         out.flat *= mu
         for bi in range(len(self.blocks)):
-            self.adjoint(self.forward(xl, bi) if fwd is None else fwd[bi],
+            self.adjoint(self.forward(xl, bi, zs) if fwd is None else fwd[bi],
                          bi, out, mu)
         self.project(out)
         return out
@@ -516,15 +543,53 @@ class Problem:
     def solve(self):
         """Solve; returns the component images and a result carrying every
         field but the mode-specific images."""
+        try:
+            x, res = self._iterate()
+        finally:
+            self._work = (None, None, None, None)
+        # each full component is a view of x's copy, and each windowed one
+        # is laid on a zeroed canvas
+        xl = self.vec(x)
+        return [self._compose(xl, [ci]) for ci in range(len(self.comps))], res
+
+    def _carry(self, xl, g, fwd):
+        """Write E D x over the carried g and A_bar B x over fwd."""
+        for ci, x in enumerate(xl):
+            self.grad(x, ci, g[ci])
+        for bi, f in enumerate(fwd):
+            self.forward(xl, bi, f)
+
+    def _iterate(self):
+        """The splitting on one working block; returns a copy of the final
+        x's array, so that the block goes with the call, and the result."""
+        n, m, nb = self.size, self.spec.count, len(self.blocks)
+        big = max([m] + [math.prod(c.window_shape) for c in self.comps])
+        # the working block: x and x_old; w, lambda and g as (2, h, w) per
+        # component; fwd, the targets and nu per block; and q, the residual
+        # r with normal's scratch in CG and every other temporary outside
+        xf, xo, wf, lf, gf, ff, tf, vf, q = np.split(
+            np.empty(9 * n + 3 * nb * m + big),
+            np.cumsum([n, n, 2 * n, 2 * n, 2 * n, nb * m, nb * m, nb * m]))
+        wl, ll, g = ([f[2 * a:2 * b].reshape((2,) + shape) for a, b, shape in self.spans]
+                     for f in (wf, lf, gf))
+        fwd, targets, nu = (np.split(f, nb) for f in (ff, tf, vf))
+        # g is dead from the warm-start residual to the end of CG, so p and
+        # H p live there; q's head holds each component's (2, h, w) scratch
+        # outside CG, and past r normal's scratch
+        qg = [q[:2 * (b - a)].reshape((2,) + s) for a, b, s in self.spans]
+        self._work = (self.vec(gf[:n]), self.vec(gf[n:]),
+                      [q[n:n + b - a].reshape(s) for a, b, s in self.spans], q[n:n + m])
+        xl, x_old, rl = self.vec(xf), self.vec(xo), self.vec(q[:n])
         cfg = self.cfg
-        nb = len(self.blocks)
         mu = PENALTY    # one penalty on both the TV and the data splits
         cap = PENALTY * CONTINUATION_CAP
 
         # init: adjoint back-projection sum_b A_b^T z_b / ||A||^2, which puts
         # the flat (mean-intensity) part at image scale; adjoint already
-        # divides by scale^2 = ||A||^2 / order, so correct by 1/order
-        xl = self.vec(np.zeros(self.size))
+        # divides by scale^2 = ||A||^2 / order, so correct by 1/order; the
+        # multipliers for D x = w and A x = z start at zero
+        for f in (xf, lf, vf):
+            f.fill(0.0)
         for bi in range(nb):
             self.adjoint(self.zbar[bi], bi, xl, 1.0)
         xl.flat /= float(self.spec.order)
@@ -535,11 +600,7 @@ class Problem:
         # the next shrink, the next fidelity targets and the next CG's
         # warm-start residual.  Each use sees the same bits it would get by
         # recomputing the product on the same x.
-        g = [self.grad(x, ci) for ci, x in enumerate(xl)]
-        fwd = [self.forward(xl, bi) for bi in range(nb)]
-        wl = [np.empty_like(gc) for gc in g]      # splits w = D x
-        ll = [np.zeros_like(gc) for gc in g]      # multipliers for D x = w
-        nu = [np.zeros_like(z) for z in self.zbar]  # multipliers for A x = z
+        self._carry(xl, g, fwd)
 
         obj_hist = []
         res_hist = []
@@ -550,63 +611,60 @@ class Problem:
             for ci, c in enumerate(self.comps):
                 w = np.divide(ll[ci], mu, out=wl[ci])
                 w += g[ci]
-                tv_shrink(w, c.weight / mu, out=w)
+                tv_shrink(w, c.weight / mu, out=w, work=qg[ci])
             # fidelity targets zbar + shrink r: projection onto each block's
-            # eps ball, formed in r's buffer; a noise-free block has radius 0,
-            # so shrink is 0 and the target is zbar
-            targets = []
-            for bi in range(nb):
-                r = fwd[bi] + nu[bi] / mu
+            # eps ball; a noise-free block has radius 0, so shrink is 0 and
+            # the target is zbar
+            for bi, r in enumerate(targets):
+                np.add(fwd[bi], np.divide(nu[bi], mu, out=r), out=r)
                 r -= self.zbar[bi]
                 rn = float(np.linalg.norm(r))
                 shrink = min(1.0, self.eps[bi] / rn) if rn > 0.0 else 0.0
                 r *= shrink
-                targets.append(np.add(self.zbar[bi], r, out=r))
+                np.add(self.zbar[bi], r, out=r)
 
             # quadratic subproblem by projected conjugate gradients, from
-            # the warm-start residual rhs - H x: H x reuses g and fwd, which
-            # are dropped before the right-hand side is formed, and the
-            # residual is written over H x; rhs is dropped before CG runs
+            # the warm-start residual rhs - H x: H x reuses g and fwd, whose
+            # buffers then hold the right-hand side's temporaries; rhs is
+            # formed over x_old, which then takes a copy of x for CG to
+            # iterate x in place
             x_prev_norm = math.sqrt(self._dot(xl, xl))
-            r0 = self.normal(xl, mu, g, fwd)
-            g = fwd = None
-            rhs = self.vec(np.zeros(self.size))
-            for ci in range(len(rhs)):    # no loop name left holding rhs
-                _tv_adjoint(wl[ci] - ll[ci] / mu, rhs[ci])
+            r0 = self.normal(xl, mu, g, fwd, out=rl)
+            rhs = x_old
+            rhs.flat.fill(0.0)
+            for w, lam, u, h in zip(wl, ll, g, rhs):
+                _tv_adjoint(np.subtract(w, np.divide(lam, mu, out=u), out=u), h)
             rhs.flat *= mu
-            for bi in range(nb):
-                self.adjoint(targets[bi] - nu[bi] / mu, bi, rhs, mu)
+            for bi, (z, v, u) in enumerate(zip(targets, nu, fwd)):
+                self.adjoint(np.subtract(z, np.divide(v, mu, out=u), out=u), bi, rhs, mu)
             self.project(rhs)
             np.subtract(rhs.flat, r0.flat, out=r0.flat)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
-            rhs = None
-            x_old = xl    # _cg iterates on copies
+            x_old.flat[...] = xl.flat
             xl = self._cg(xl, r0, target, mu)
             self.project(xl)
 
-            if not np.isfinite(xl.flat).all():
+            if not np.isfinite(xl.flat, out=q.view(np.bool_)[:n]).all():
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
-            # dual updates (wl is scratch until the next shrink)
-            fwd = [self.forward(xl, bi) for bi in range(nb)]
-            g = [self.grad(x, ci) for ci, x in enumerate(xl)]
-            for bi in range(nb):
-                nu[bi] += mu * (fwd[bi] - targets[bi])
+            # dual updates (wl and the targets are scratch until reformed)
+            self._carry(xl, g, fwd)
+            for f, u, v in zip(fwd, targets, nu):
+                v += np.multiply(mu, np.subtract(f, u, out=u), out=u)
             for ci, w in enumerate(wl):
                 ll[ci] += np.multiply(mu, np.subtract(g[ci], w, out=w), out=w)
 
-            obj = sum(c.weight * float(np.abs(gc).sum())
-                      for c, gc in zip(self.comps, g))
-            res_abs = [float(np.linalg.norm(fwd[bi] - self.zbar[bi]))
-                       for bi in range(nb)]
+            obj = sum(c.weight * float(np.abs(gc, out=u).sum())
+                      for c, gc, u in zip(self.comps, g, qg))
+            res_abs = [float(np.linalg.norm(np.subtract(f, z, out=u)))
+                       for f, z, u in zip(fwd, self.zbar, targets)]
             res_rel = [res_abs[bi] / (self.znorm[bi] if self.znorm[bi] > 0.0 else 1.0)
                        for bi in range(nb)]
             obj_hist.append(obj)
             res_hist.append(res_rel)
 
-            diff = math.sqrt(sum(float(np.sum((a - b) ** 2))
-                                 for a, b in zip(xl, x_old)))
-            x_old = None    # not held through the next warm start
+            step = self.vec(np.subtract(xl.flat, x_old.flat, out=q[:n]))
+            diff = math.sqrt(sum(float(np.sum(np.square(a, out=a))) for a in step))
             change = diff / max(x_prev_norm, 1.0e-12)
             feasible = all(
                 res_abs[bi] <= max(cfg.rel_tol * self.znorm[bi], self.eps[bi])
@@ -618,9 +676,7 @@ class Problem:
             if t % CONTINUATION_EVERY == 0:
                 mu = min(2.0 * mu, cap)
 
-        # each windowed component laid on a zeroed canvas
-        images = [self._compose(xl, [ci]) for ci in range(len(self.comps))]
-        return images, ReconstructionResult(
+        return xl.flat.copy(), ReconstructionResult(
             iterations=len(obj_hist),
             converged=converged,
             objective_history=np.asarray(obj_hist),
@@ -630,11 +686,12 @@ class Problem:
 
     def _cg(self, x0, r0, target, mu):
         """Conjugate gradients for H x = rhs at penalty mu from x0 until the
-        residual norm is at most `target`; r0 = rhs - H x0 is updated in place."""
-        xl, rl = self.vec(x0.flat.copy()), r0
-        pl, hp = self.vec(r0.flat.copy()), self.vec()    # hp: H p, every step
-        x, r, p, h = xl.flat, rl.flat, pl.flat, hp.flat
-        rs = self._dot(rl, rl)
+        residual norm is at most `target`; x0 and r0 = rhs - H x0 are
+        updated in place, and p and H p are the solve's."""
+        pl, hp = self._work[:2]
+        x, r, p, h = x0.flat, r0.flat, pl.flat, hp.flat
+        p[...] = r
+        rs = self._dot(r0, r0)
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
@@ -645,12 +702,12 @@ class Problem:
             alpha = rs / denom
             r -= np.multiply(alpha, h, out=h)
             x += np.multiply(alpha, p, out=h)
-            rs_new = self._dot(rl, rl)
+            rs_new = self._dot(r0, r0)
             ratio = rs_new / rs
             rs = rs_new
             p *= ratio
             p += r
-        return xl
+        return x0
 
 
 # ---------------------------------------------------------------------------

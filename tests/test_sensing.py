@@ -230,6 +230,33 @@ def test_aperture_reused_over_both_directions_matches_one_off_calls(pixels):
         assert aperture.forward().tobytes() == measure(x, spec).tobytes()
 
 
+@pytest.mark.parametrize("pixels", [64, 60])
+def test_aperture_forward_into_out_is_the_new_vector_and_allocates_nothing(pixels):
+    """forward(out) writes the bytes of forward() over a NaN-filled out
+    and returns it; at order 65536 it allocates nothing (np.take with
+    mode="raise" would stage the gather through a copy of out)."""
+    spec = make_spec(64, 0.5, 3, pixel_count=pixels)
+    aperture = Aperture(spec)
+    x = np.random.default_rng(pixels).standard_normal(pixels)
+    aperture.image[...] = x
+    want = aperture.forward().tobytes()
+    out = np.full(spec.count, np.nan)
+    aperture.image[...] = x    # each call transforms the line in place
+    assert aperture.forward(out) is out
+    assert out.tobytes() == want
+    big = Aperture(make_spec(1 << 16, 0.25, 5))
+    out = np.empty(big.spec.count)
+    big.forward(out)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        big.forward(out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024
+
+
 def test_joint_solve_is_bit_identical_with_the_butterfly(monkeypatch):
     """The stop rule turns a last-ulp change in the transform into a
     different stopping iteration, so a solve that crosses the penalty

@@ -188,6 +188,41 @@ def test_tv_pieces_are_bytewise_the_pixel_loops(shape):
         assert gi.tobytes() == before
 
 
+def stale(shape):
+    """A buffer of `shape` holding NaN and -0.0 in alternate entries, the
+    entries a reused buffer could leave behind."""
+    buf = np.full(shape, np.nan)
+    buf.reshape(-1)[::2] = -0.0
+    return buf
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1), (0, 5)])
+def test_tv_pieces_into_stale_buffers_are_bytewise_the_fresh_ones(shape):
+    """tv_grad(x, out=buf) over a buffer of NaN and -0.0 gives a fresh
+    tv_grad(x) byte for byte, the entries D leaves empty included, and
+    returns buf; tv_shrink with such a buffer as its work array gives the
+    fresh shrink, into a new array, into `out` and in place.  Inputs are
+    one-row, one-column and strided, with zeros of both signs."""
+    rng = np.random.default_rng(8)
+    x = signed_zeros(rng, shape)
+    wide = signed_zeros(rng, (shape[0], 2 * shape[1]))
+    for img in (x, wide[:, ::2], signed_zeros(rng, shape[::-1]).T):
+        want = tv_grad(img).tobytes()
+        buf = stale((2,) + shape)
+        assert tv_grad(img, out=buf) is buf
+        assert buf.tobytes() == want
+    v = signed_zeros(rng, (2,) + shape)
+    for threshold in (0.0, 0.25):
+        want = tv_shrink(v, threshold).tobytes()
+        assert tv_shrink(v, threshold, work=stale(v.shape)).tobytes() == want
+        out = stale(v.shape)
+        assert tv_shrink(v, threshold, out=out, work=stale(v.shape)) is out
+        assert out.tobytes() == want
+        w = v.copy()
+        assert tv_shrink(w, threshold, out=w, work=stale(v.shape)) is w
+        assert w.tobytes() == want
+
+
 def test_epsilon_for_noise_closed_form():
     z = np.array([1.0, -3.0, 2.0, -2.0])
     assert abs(epsilon_for_noise(0.1, z) - 0.1 * 2.0 * 2.0) < 1e-15
@@ -587,6 +622,72 @@ def test_solve_peak_memory_stays_within_6x_and_10x_the_unknowns(mode):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * unknowns, f"{peak / (8 * unknowns):.1f}x the unknowns"
+
+
+@pytest.mark.parametrize("mode", ["joint", "superres"])
+def test_solve_allocates_its_working_block_and_little_else(mode, monkeypatch):
+    """A three-iteration 64x64 solve's traced peak exceeds its working
+    block only by named terms, so that a per-iteration temporary cannot
+    come back unseen: superres, whose largest iteration buffer is a
+    strip's 2 KiB, sees one of a measurement vector (8 KiB), and joint one
+    larger than the 30 KiB cast buffer of its common window.
+
+    The block holds 9 n + 3 b m + max(m, w) float64 entries for n unknowns
+    (every component's window), b blocks of m measurements and the
+    largest window w: two x buffers, w, lambda and g (two per unknown
+    each), fwd, the targets and nu, and the residual r with normal's
+    scratch.  Not counted, because the Problem is built before tracing
+    starts: its measurement vectors, stencils, aperture line and pair
+    buffer, and canvas.  Counted on top of the block:
+    - while the splitting runs (the peak so far after each iteration's
+      carried products are formed), numpy's iteration buffer for a bool edge
+      mask cast, or an add into or out of a strided window, of at most
+      min(getbufsize(), v) float64 entries, v the largest window that is
+      not the whole canvas (the common window in joint, a strip in
+      superres);
+    - at the end, the copy of x that the returned full components are
+      views of, taken while the block is alive; the block is freed before the windowed components are
+      laid on their zeroed canvases;
+    - 16 KiB for the Python objects: views, lists, the histories."""
+    size = 64
+    masks = build_region_masks(3.5, 0.0, size, size)
+    shift = build_shift(3.5, 0.0, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(4096, 0.25, 42, pixel_count=size * size)
+    z1, z2 = measure(v1, spec), measure(v2, spec)
+    cfg = SolverConfig(sigma=1.0, max_iters=3)
+    if mode == "joint":
+        build = lambda: Problem.joint(z1, z2, spec, size, size, shift, masks, cfg)
+    else:
+        build = lambda: Problem.superres(z1, z2, spec, size, size, 3.5, cfg)
+    build().solve()     # first-call allocations (lazy imports, caches) are not the solve's
+    problem = build()
+    n, m, b = problem.size, spec.count, len(problem.blocks)
+    windows = [math.prod(c.window_shape) for c in problem.comps]
+    block = 8 * (9 * n + 3 * b * m + max([m] + windows))
+    strided = max(w for c, w in zip(problem.comps, windows) if not c.full)
+    iteration_buffer = 8 * min(np.getbufsize(), strided)
+    loop = []
+    real_carry = Problem._carry
+
+    def carry(self, *args):
+        real_carry(self, *args)
+        loop.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(Problem, "_carry", carry)
+    tracemalloc.start()
+    try:
+        problem.solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    objects = 16 * 1024
+    assert len(loop) == 1 + cfg.max_iters
+    assert loop[-1] <= block + iteration_buffer + objects, \
+        f"loop {loop[-1] - block - iteration_buffer} B over the block and buffer"
+    assert peak <= block + 8 * n + objects, \
+        f"solve {peak - block - 8 * n} B over the block and x's copy"
 
 
 # ---------------------------------------------------------------------------

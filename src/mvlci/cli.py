@@ -32,7 +32,7 @@ from . import __version__
 from .experiments import run_measurement_increase, run_superres
 from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, read_pgm, write_pgm
-from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view, SCENE_KINDS
+from .scene import make_test_scene, render_pair, SCENE_KINDS
 from .sensing import acquire, read_mvm, write_mvm
 from .solver import SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
 
@@ -70,7 +70,7 @@ def cmd_scene(args) -> tuple[Path, dict]:
         pad = math.ceil(2.0 * abs(args.dx))
         aperture_w = (args.width - 2 * pad) // 2
         aperture_h = args.height
-        # render_view scales by width // aperture_w, which must come out 2:
+        # render_pair scales by width // aperture_w, which must come out 2:
         # width = 2 pad + 2 aperture_w + odd with odd in {0, 1} needs
         # aperture_w > 2 pad + odd
         if aperture_w < 8 or args.width // aperture_w != 2:
@@ -82,13 +82,8 @@ def cmd_scene(args) -> tuple[Path, dict]:
                 f"that does is {smallest}"
                 + (f", and every width from {every} up" if every > smallest else "")
             )
-        geo = CameraGeometry(
-            aperture_width=aperture_w, aperture_height=aperture_h,
-            sensor_offsets=[(0.0, 0.0), (args.dx, 0.0)],
-            sensor_plane_distance=args.f, scene_distance=args.z,
-        )
-        dx_eff, dy_eff = parallax_shift(geo, 2)
-        views = [render_view(scene, geo, k) for k in (1, 2)]
+        views, (dx_eff, dy_eff) = render_pair(scene, aperture_w, aperture_h,
+                                              args.dx, args.f, args.z)
         entries.update({
             "views": 1, "dx": args.dx, "f": args.f, "z": args.z,
             "dx_effective": repr(dx_eff), "dy_effective": repr(dy_eff),

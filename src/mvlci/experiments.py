@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import build_region_masks, build_shift
 from .pgm import clamp01, write_pgm
-from .scene import CameraGeometry, make_test_scene, parallax_shift, render_view
+from .scene import make_test_scene, render_pair
 from .sensing import acquire
 from .solver import Component, SolverConfig, check_fractional_dx, reconstruct_joint, reconstruct_single, reconstruct_superres
 
@@ -220,15 +220,7 @@ def _far_views(kind: str, width: int, height: int, dx: float, scale: int,
     """
     margin = math.ceil(scale * abs(dx))
     scene = make_test_scene(kind, scale * width + 2 * margin, height, seed)
-    geo = CameraGeometry(
-        aperture_width=width,
-        aperture_height=height,
-        sensor_offsets=[(0.0, 0.0), (dx, 0.0)],
-        sensor_plane_distance=1.0,
-        scene_distance=1.0e7,
-    )
-    views = [render_view(scene, geo, 1), render_view(scene, geo, 2)]
-    dx_eff, _ = parallax_shift(geo, 2)
+    views, (dx_eff, _) = render_pair(scene, width, height, dx, 1.0, 1.0e7)
     return scene, views, dx_eff, margin
 
 

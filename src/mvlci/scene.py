@@ -128,6 +128,19 @@ def render_view(scene: SceneModel, geometry: CameraGeometry, sensor_index: int) 
     return sum(sum(box[:, r, :, c] for c in range(sx)) for r in range(sy)) / (sy * sx)
 
 
+def render_pair(scene: SceneModel, width: int, height: int, dx: float,
+                sensor_plane_distance: float, scene_distance: float):
+    """Render the two views of `scene` seen through a width x height
+    aperture by sensor 1 at (0, 0) and sensor 2 at (dx, 0).
+
+    Returns ([view1, view2], (dx_eff, dy_eff)), the second sensor's
+    parallax shift.  The CLI and the studies acquire their views here.
+    """
+    geo = CameraGeometry(width, height, [(0.0, 0.0), (dx, 0.0)],
+                         sensor_plane_distance, scene_distance)
+    return [render_view(scene, geo, k) for k in (1, 2)], parallax_shift(geo, 2)
+
+
 def _sample_axis(img: np.ndarray, axis: int, start: float, count: int,
                  sensor: int, name: str) -> np.ndarray:
     """Take `count` consecutive samples along one axis starting at a

@@ -13,7 +13,9 @@ import pytest
 from mvlci import cli
 from mvlci.cli import build_parser, main
 from mvlci.experiments import CSV_HEADER
+from mvlci.geometry import apply_shift, build_region_masks, build_shift
 from mvlci.pgm import read_pgm, write_pgm
+from mvlci.scene import make_test_scene, render_pair
 from mvlci.sensing import (MeasurementSet, SensingSpec, epsilon_for_noise,
                            read_mvm, select_rows, write_mvm)
 from mvlci.solver import SolverConfig
@@ -165,6 +167,21 @@ def test_scene_views_at_the_narrowest_working_widths(tmp_path, width):
                  "--out", str(tmp_path / "s.pgm")]) == 0
     for k in (1, 2):
         assert read_pgm(tmp_path / f"view{k}.pgm").shape == (16, (width - 14) // 2)
+
+
+def test_scene_views_at_an_odd_width_are_render_pair(tmp_path):
+    """The 143-column scene is 2 * 64 apertures plus 2 * 7 margin plus one
+    spare column: the CLI renders it as given, through render_pair."""
+    assert main(["scene", "--kind", "blocks", "--width", "143", "--height", "64",
+                 "--views", "--out", str(tmp_path / "s.pgm")]) == 0
+    views, shift = render_pair(make_test_scene("blocks", 143, 64, 7),
+                               64, 64, 3.5, 100.0, 1e6)
+    for k, view in enumerate(views, start=1):
+        write_pgm(tmp_path / f"ref{k}.pgm", view)
+        assert ((tmp_path / f"view{k}.pgm").read_bytes()
+                == (tmp_path / f"ref{k}.pgm").read_bytes())
+    manifest = read_manifest(tmp_path / "s.pgm.manifest")
+    assert (manifest["dx_effective"], manifest["dy_effective"]) == tuple(map(repr, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +348,27 @@ def test_reconstruct_joint_offset_pair(offset_pair, tmp_path):
     manifest = read_manifest(out / "manifest.txt")
     assert (manifest["dx"], manifest["dy"]) == ("3.5", "0.0")
     assert "sensor" not in manifest
+
+
+def test_reconstruct_joint_with_a_vertical_offset(tmp_path):
+    """dy != 0 gives L-shaped border strips, which the solve crops to their
+    masks: each disjoint image is zero off its own strip."""
+    masks = build_region_masks(2.5, 1.25, 24, 20)
+    v1 = 0.5 * make_test_scene("blocks", 24, 20, 3).base
+    v2 = apply_shift(build_shift(2.5, 1.25, 24, 20), v1) + 0.5 * masks.disjoint[1]
+    write_pgm(tmp_path / "v1.pgm", v1)
+    write_pgm(tmp_path / "v2.pgm", v2)
+    assert main(["measure", "--views", str(tmp_path / "v1.pgm"), str(tmp_path / "v2.pgm"),
+                 "--rate", "0.5", "--out", str(tmp_path / "m.mvm")]) == 0
+    out = tmp_path / "joint"
+    assert main(["reconstruct", "--meas", str(tmp_path / "m.mvm"), "--mode", "joint",
+                 "--dx", "2.5", "--dy", "1.25", "--max-iters", "30",
+                 "--out", str(out)]) == 0
+    assert read_manifest(out / "manifest.txt")["dy"] == "1.25"
+    for k, strip in enumerate(masks.disjoint, start=1):
+        disjoint = read_pgm(out / f"disjoint{k}.pgm")
+        assert np.all(disjoint[~strip] == 0.0)
+        assert np.any(disjoint[strip] > 0.0)
 
 
 def test_reconstruct_superres_doubles_width(offset_pair, tmp_path):

@@ -12,6 +12,7 @@ from mvlci.scene import (
     SceneModel,
     make_test_scene,
     parallax_shift,
+    render_pair,
     render_view,
 )
 
@@ -170,6 +171,20 @@ def test_fractional_shift_interpolates_linear_ramp():
     dx_eff, _ = parallax_shift(geo, 2)
     step = 1.0 / (w + 7)
     assert np.allclose(v1 - v2, dx_eff * step, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_render_pair_is_the_hand_built_far_field_sequence(scale):
+    """The studies' far field: a 64x64 aperture, dx 3.5, f 1, Z 1e7, on a
+    scene at `scale` times the aperture width plus the shift's margin."""
+    margin = math.ceil(scale * 3.5)
+    scene = make_test_scene("checker-text", scale * 64 + 2 * margin, 64, 7)
+    geo = _two_sensor_geometry(64, 64, 3.5, f=1.0, z=1.0e7)
+    views, shift = render_pair(scene, 64, 64, 3.5, 1.0, 1.0e7)
+    assert shift == parallax_shift(geo, 2)
+    assert len(views) == 2
+    for k, view in enumerate(views, start=1):
+        assert view.tobytes() == render_view(scene, geo, k).tobytes()
 
 
 def test_render_raises_when_sampling_leaves_scene():

@@ -3,9 +3,10 @@
 For the tree on PYTHONPATH, prints one JSON object: per operator (U, S(0)
 and S(dx) at the studies' far-field shift, on 64x64 and 256x256 grids)
 and side (`forward`, `transpose`), the minimum over `--repeats` repeats
-of the mean time of one `op @ v`, and of `op.apply(v, out)` into a kept
-output where the operator has it, in microseconds.  Any operator with
-`shape`, `@` and `.T` is timed, so two checkouts compare like for like:
+of the mean time of one `op.apply(v, out)` into a kept output, in
+microseconds.  Only `apply` is timed: every tree whose shift and sampling
+operators are `Stencil`s has it, so two such checkouts compare like for
+like (a tree with CSR operators cannot be timed):
 
     PYTHONPATH=<checkout>/src python tools/operator_bench.py
 """
@@ -33,7 +34,7 @@ def operators(size: int) -> dict:
 
 
 def timings(repeats: int) -> dict:
-    """{operator: {side: {"matmul_us": t, "apply_us": t or None}}}."""
+    """{operator: {side: apply_us}}."""
     out = {}
     for size in (64, 256):
         number = 400 if size == 64 else 40
@@ -41,15 +42,10 @@ def timings(repeats: int) -> dict:
             out[name] = {}
             for side, m in (("forward", op), ("transpose", op.T)):
                 v = np.random.default_rng(m.shape[1]).standard_normal(m.shape[1])
-                row = {"matmul_us": min(timeit.repeat(lambda: m @ v, number=number,
-                                                      repeat=repeats)) / number * 1e6,
-                       "apply_us": None}
-                if hasattr(m, "apply"):
-                    dst = np.empty(m.shape[0])
-                    row["apply_us"] = min(timeit.repeat(
-                        lambda: m.apply(v, dst), number=number,
-                        repeat=repeats)) / number * 1e6
-                out[name][side] = row
+                dst = np.empty(m.shape[0])
+                out[name][side] = min(timeit.repeat(
+                    lambda: m.apply(v, dst), number=number,
+                    repeat=repeats)) / number * 1e6
     return out
 
 

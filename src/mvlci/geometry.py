@@ -18,11 +18,13 @@ columns, and U is the bilinear shift on the double-width grid.
 build_sampling writes S(dx) as a Stencil whose taps read every second
 high-res column, from U's column taps without building U.
 
-A Stencil's products carry the bits of the sparse matrix products that
-these operators were first written as (tests/test_geometry.py holds that
-COO reference): each output sums its taps from +0.0 in the matrix's row
-order, and each transposed output in ascending order of the rows it
-reads.
+A Stencil writes each output plane in place, in one pass over all its
+rows, and reads and writes the double-width grid as two planes of
+interleaved columns.  Its products carry the bits of the sparse matrix
+products that these operators were first written as
+(tests/test_geometry.py holds that COO reference): each output sums its
+taps from +0.0 in the matrix's row order, and each transposed output in
+ascending order of the rows it reads.
 """
 
 from __future__ import annotations
@@ -33,42 +35,38 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Rows are applied in blocks of about _BLOCK elements per plane, so that a
-# block's input, output and products stay in a core's cache while every tap
-# runs over it (a 256 x 256 plane takes two blocks).
-_BLOCK = 1 << 15
 # the kinds of step an apply runs
-_ADD, _FIRST, _MUL, _ZERO, _COPY = range(5)
+_ADD, _FIRST, _ZERO = range(3)
 
 
 class Stencil:
     """A linear map between two pixel grids held as weighted slice taps.
 
-    Both grids are `planes` planes of one (h, w) plane shape, interleaved
-    along the columns: column planes * u + k of a grid row is column u of
-    plane k.  `taps` lists, in the order each output sums them, the runs of
-    one tap: (y0, y1, oy, u0, u1, pd, od, ps, os, wt) adds wt * in_ps[y + oy,
-    u + os] to out_pd[y, u + od] for y in [y0, y1) and u in [u0, u1).  The
-    transpose sums the taps in the order `order_t`, which must be ascending
-    output order for every input.  `shape` is (outputs, inputs), as for a
-    matrix; `op @ v` maps flat vectors, and `op.T` is the transpose.
+    Each grid is one or two planes of one (h, w) plane shape, interleaved
+    along the columns: column p * u + k of a grid row is column u of plane
+    k, for a grid of p planes.  `taps` lists, in the order each output sums
+    them, the runs of one tap: (y0, y1, oy, u0, u1, pd, od, ps, os, wt)
+    adds wt * in_ps[y + oy, u + os] to out_pd[y, u + od] for y in [y0, y1)
+    and u in [u0, u1).  The transpose sums the taps in the order `order_t`,
+    which must be ascending output order for every input.  `shape` is
+    (outputs, inputs), as for a matrix; `op @ v` maps flat vectors, and
+    `op.T` is the transpose.
 
+    Each output plane is written in place, in one pass over all its rows.
     Where every run covers whole rows at oy = 0 (every dy = 0 operator),
     each tap's longest run into a plane is one 1-D multiply and add over
     the plane's flattened rows, the first writing the plane.  The wrapped
     rows land on border columns, which are then zeroed and summed again
     from every run's 2-D slices, the path that every run of a stencil
-    without that form takes.  An output of two planes is
-    summed in contiguous planes and then copied in.  Every slice, row block
-    and scratch array is fixed here, so an apply is a fixed short list of
-    ufunc calls; as it writes the scratch that the stencil and its
-    transpose share, one stencil serves one caller at a time.
+    without that form takes.  Every slice and scratch array is fixed here,
+    so an apply is a fixed short list of ufunc calls; as it writes the
+    scratch that the stencil and its transpose share, one stencil serves
+    one caller at a time.
 
     A sum that starts from its first product rather than from +0.0 differs
     only where every product is a zero and one is -0.0, where it may end at
     -0.0 instead of +0.0; adding +0.0 then gives the sum from +0.0 bit for
-    bit.  So the plane's first product adds +0.0 at once, or, for a
-    two-plane output, as it is copied in.
+    bit.  So the plane's first product adds +0.0 as it is written.
     """
 
     def __init__(self, plane, planes_out, planes_in, taps, order_t):
@@ -77,13 +75,10 @@ class Stencil:
         h, w = plane
         n = h * w
         scratch = np.empty(n)
-        planes = max(planes_out, planes_in)
-        buf = np.empty((planes, n)) if planes > 1 else None
 
         def direction(taps, po, pi):
-            """(shape, grids, output planes, steps) of one direction."""
+            """(shape, grids, steps) of one direction."""
             return ((po * n, pi * n), ((h, po * w), (h, pi * w)),
-                    None if po == 1 else (buf.reshape(-1), buf.reshape(-1, w)),
                     _steps(taps, plane, po, pi, scratch))
 
         # both directions, held without a reference cycle so that a dropped
@@ -112,46 +107,39 @@ class Stencil:
         """Write op @ x over out and return out; x and out are C-contiguous
         float64 arrays of the input and output sizes, of any shape, and do
         not overlap."""
-        _, grids, planes, steps = self._dirs[0]
+        _, grids, steps = self._dirs[0]
         xf, of = x.reshape(-1), out.reshape(-1)
         ins = (xf, xf.reshape(grids[1]))
-        outs = planes or (of, of.reshape(grids[0]))
+        outs = (of, of.reshape(grids[0]))
         for kind, d, a, i, wt, s in steps:
             o = outs[d]
             if kind == _ADD:
                 np.add(o[a], np.multiply(ins[d][i], wt, out=s), out=o[a])
             elif kind == _ZERO:
                 o[a] = 0.0
-            elif kind == _COPY:
-                np.add(o[i], 0.0, out=of[a])
             else:
-                o = o[a]
-                np.multiply(ins[d][i], wt, out=o)
-                if kind == _FIRST:
-                    np.add(o, 0.0, out=o)
+                np.add(np.multiply(ins[d][i], wt, out=s), 0.0, out=o[a])
         return out
 
 
-def _steps(taps, plane, planes_out, planes_in, scratch):
+def _steps(taps, plane, po, pi, scratch):
     """One direction's steps (kind, dim, out index, in index, weight,
-    scratch), over the flat (dim 0) or 2-D (dim 1) input and output, the
-    output being the contiguous planes laid end to end when it has two.
+    scratch), over the flat (dim 0) or 2-D (dim 1) input and output, grids
+    of pi and po planes.
 
-    Per block of rows and output plane: the plane's flat ops (_FIRST, or
-    _MUL for a two-plane output, then _ADD per further tap); _ZERO of the
-    border columns, all columns without a flat form; and an _ADD of every
-    run's part on them, a strided 1-D one for a single column.  A two-plane
-    output's block is then copied in, adding +0.0 (_COPY: output slice,
-    plane slice)."""
+    Per output plane, over all its rows: the plane's flat ops (_FIRST,
+    then _ADD per further tap); _ZERO of the border columns, all columns
+    without a flat form; and an _ADD of every run's part on them, a
+    strided 1-D one for a single column."""
     h, w = plane
-    n, pi = h * w, planes_in
 
-    def src(ps, j, m, step):
-        """Input plane ps's m elements from plane index j, step apart."""
-        return slice(pi * j + ps, pi * (j + (m - 1) * step) + ps + 1, pi * step)
+    def grid(p, k, j, m, step):
+        """Plane k's m elements from plane index j, step apart, in a grid
+        of p planes."""
+        return slice(p * j + k, p * (j + (m - 1) * step) + k + 1, p * step)
 
-    plans = []
-    for pd in range(planes_out):
+    steps = []
+    for pd in range(po):
         runs = [[r for r in tap if r[5] == pd] for tap in taps]
         mains = [max(tap, key=lambda r: r[4] - r[3]) for tap in runs if tap]
         # columns [lo, hi) take every tap from its longest run alone
@@ -161,41 +149,27 @@ def _steps(taps, plane, planes_out, planes_in, scratch):
             hi = min(r[4] + r[6] for r in mains)
         if lo >= hi:
             lo = hi = w
-        plans.append((runs, lo, hi, mains if lo < hi else []))
-    steps = []
-    rows = max(1, _BLOCK // w)
-    for r0 in range(0, h, rows):
-        r1 = min(h, r0 + rows)
-        for pd, (runs, lo, hi, mains) in enumerate(plans):
-            base = pd * n
-            for k, (_, _, _, u0, u1, _, od, ps, os, wt) in enumerate(mains):
-                a, b = max(u0 + od, r0 * w), min((h - 1) * w + u1 + od, r1 * w)
-                first = _FIRST if planes_out == 1 else _MUL
-                steps.append((_ADD if k else first, 0, slice(base + a, base + b),
-                              src(ps, a - od + os, b - a, 1), wt, scratch[:b - a]))
-            for a, b in ((0, lo), (hi, w)):
-                if a < b:
-                    steps.append((_ZERO, 1, (slice(pd * h + r0, pd * h + r1), slice(a, b)),
-                                  None, None, None))
-            for y0, y1, oy, u0, u1, _, od, ps, os, wt in (r for tap in runs for r in tap):
-                y0, y1 = max(y0, r0), min(y1, r1)
-                for ua, ub in ((u0, min(u1, lo - od)), (max(u0, hi - od), u1)):
-                    m, c = y1 - y0, ub - ua
-                    if m <= 0 or c <= 0:
-                        continue
-                    if c == 1:
-                        j = y0 * w + ua + od
-                        steps.append((_ADD, 0, slice(base + j, base + j + (m - 1) * w + 1, w),
-                                      src(ps, (y0 + oy) * w + ua + os, m, w), wt, scratch[:m]))
-                    else:
-                        steps.append((_ADD, 1, (slice(pd * h + y0, pd * h + y1),
-                                                slice(ua + od, ub + od)),
-                                      (slice(y0 + oy, y1 + oy), src(ps, ua + os, c, 1)), wt,
-                                      scratch[:m * c].reshape(m, c)))
-        for k in range(planes_out if planes_out > 1 else 0):
-            steps.append((_COPY, 0, slice(planes_out * r0 * w + k,
-                                          planes_out * (r1 * w - 1) + k + 1, planes_out),
-                          slice(k * n + r0 * w, k * n + r1 * w), None, None))
+        for k, (_, _, _, u0, u1, _, od, ps, os, wt) in enumerate(mains if lo < hi else []):
+            a, m = u0 + od, (h - 1) * w + u1 - u0
+            steps.append((_ADD if k else _FIRST, 0, grid(po, pd, a, m, 1),
+                          grid(pi, ps, a - od + os, m, 1), wt, scratch[:m]))
+        for a, b in ((0, lo), (hi, w)):
+            if a < b:
+                steps.append((_ZERO, 1, (slice(0, h), grid(po, pd, a, b - a, 1)),
+                              None, None, None))
+        for y0, y1, oy, u0, u1, _, od, ps, os, wt in (r for tap in runs for r in tap):
+            for ua, ub in ((u0, min(u1, lo - od)), (max(u0, hi - od), u1)):
+                m, c = y1 - y0, ub - ua
+                if c <= 0:
+                    continue
+                if c == 1:
+                    steps.append((_ADD, 0, grid(po, pd, y0 * w + ua + od, m, w),
+                                  grid(pi, ps, (y0 + oy) * w + ua + os, m, w), wt,
+                                  scratch[:m]))
+                else:
+                    steps.append((_ADD, 1, (slice(y0, y1), grid(po, pd, ua + od, c, 1)),
+                                  (slice(y0 + oy, y1 + oy), grid(pi, ps, ua + os, c, 1)),
+                                  wt, scratch[:m * c].reshape(m, c)))
     return steps
 
 

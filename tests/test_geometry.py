@@ -6,6 +6,7 @@ assembly, and of its product with the pair average, byte for byte."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -191,7 +192,7 @@ UNDER_8 = math.nextafter(8.0, 0.0)
     (-1e-300, -1e-300, 16, 8), (-1e-300, 1e-300, 16, 8), (-1e-300, -1e-300, 1, 1),
     # the study, benchmark and superres-grid shifts
     (FAR_DX, 0.0, 64, 64), (FAR_DX, 0.0, 256, 256), (2.0 * FAR_DX, 0.0, 512, 256),
-    # row blocks of unequal height, and weights that change along each row
+    # a large grid, and weights that change along each row
     (1.25, 0.0, 300, 230), (0.3, -1.5, 300, 230),
 ])
 def test_shift_csr_equals_the_coo_assembly(dx, dy, width, height):
@@ -252,6 +253,22 @@ def test_a_dropped_operator_frees_its_buffers_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_built_stencil_holds_one_plane_of_scratch():
+    """A stencil writes each output plane in place, so a built 256x256
+    shift or sampling stencil holds little more than its one plane of
+    float64 scratch, shared with its transpose."""
+    for build in (lambda: build_sampling(FAR_DX, 256, 256),
+                  lambda: build_shift(FAR_DX, 0.0, 256, 256).matrix):
+        tracemalloc.start()
+        try:
+            op = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert op.shape[0] == 256 * 256
+        assert held < 1.25 * 8 * 256 * 256
 
 
 def test_apply_shift_validates_image_shape():

@@ -1,12 +1,14 @@
 """Time the shift and sampling operators' products, forward and transposed.
 
 For the tree on PYTHONPATH, prints one JSON object: per operator (U, S(0)
-and S(dx) at the studies' far-field shift, on 64x64 and 256x256 grids)
-and side (`forward`, `transpose`), the minimum over `--repeats` repeats
-of the mean time of one `op.apply(v, out)` into a kept output, in
-microseconds.  Only `apply` is timed: every tree whose shift and sampling
-operators are `Stencil`s has it, so two such checkouts compare like for
-like (a tree with CSR operators cannot be timed):
+and S(dx) at the studies' far-field shift, on 64x64 and 256x256 grids,
+and Udy.64, a 64x64 shift by (2.5, -1.25) that, moving rows, has only
+the 2-D path every `--dy` joint solve runs) and side (`forward`,
+`transpose`), the minimum over `--repeats` repeats of the mean time of
+one `op.apply(v, out)` into a kept output, in microseconds.  Only
+`apply` is timed: every tree whose shift and sampling operators are
+`Stencil`s has it, so two such checkouts compare like for like (a tree
+with CSR operators cannot be timed):
 
     PYTHONPATH=<checkout>/src python tools/operator_bench.py
 """
@@ -28,9 +30,12 @@ def operators(size: int) -> dict:
                          sensor_offsets=[(0.0, 0.0), (3.5, 0.0)],
                          sensor_plane_distance=1.0, scene_distance=1.0e7)
     dx, _ = parallax_shift(geo, 2)
-    return {f"U.{size}": build_shift(dx, 0.0, size, size).matrix,
-            f"S0.{size}": build_sampling(0.0, size, size),
-            f"Sdx.{size}": build_sampling(dx, size, size)}
+    ops = {f"U.{size}": build_shift(dx, 0.0, size, size).matrix,
+           f"S0.{size}": build_sampling(0.0, size, size),
+           f"Sdx.{size}": build_sampling(dx, size, size)}
+    if size == 64:
+        ops["Udy.64"] = build_shift(2.5, -1.25, 64, 64).matrix
+    return ops
 
 
 def timings(repeats: int) -> dict:

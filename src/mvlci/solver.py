@@ -36,27 +36,37 @@ with a support mask and a TV weight), its Blocks (one sensor's equation
 each), the spec they are measured through and the SolverConfig.
 Problem.single, Problem.joint and Problem.superres build it from the
 arguments of the matching reconstruct_*, and Problem.solve runs the
-splitting on it.  Its linear pieces (vec, forward, adjoint, grad, normal
-and project) are public, so other consumers of the same D, E, A and
-operators need not rebuild them.
+splitting on it and returns the ReconstructionResult: each component's
+image and each sensor's view in the field that its builder names.  Its
+linear pieces (vec, view, forward, adjoint, grad, normal and project) are
+public, so other consumers of the same D, E, A and operators need not
+rebuild them.
 
-Across an iteration the solve keeps x, the splits w = D x with their
-multipliers, the fidelity multipliers, and g = E D x and A x of the current
-x.  Every array that the iteration and CG touch is a view of one float64
-working block that the solve allocates at its start and frees before it
-lays out the outputs, so the loop allocates no array: x and the previous
-x; w, its multipliers and g; each block's A x, fidelity targets and
-multipliers; and one stretch for the CG residual r and the normal
-operator's scratch.  Buffers whose lives do not overlap share space: g
-holds CG's p and H p (and first the right-hand side's TV term), A x
-holds its data terms, the previous x holds the right-hand side, and r's
+Every split is one (product, split, multiplier) triple: g = E D x with
+the gradient split w and its multiplier, and each block's A x with its
+fidelity target and multiplier.  The scaled-form steps run over all of
+them alike: a split first takes product + multiplier / mu and then its
+proximal step (shrinkage for w, projection onto the eps ball for a
+target), the right-hand side is normal applied to split - multiplier / mu
+in place of the products, and each multiplier adds mu (product - split).
+
+Across an iteration the solve keeps x, the splits with their multipliers,
+and g and A x of the current x.  Every array that the iteration and CG
+touch is a view of one float64 working block that the solve allocates at
+its start and frees before it lays out the outputs, so the loop
+allocates no array: x and the previous x; w, its multipliers and g; each
+block's A x, fidelity targets and multipliers; and one stretch for the
+CG residual r and the normal operator's scratch.  Buffers whose lives do
+not overlap share space: g and A x hold the right-hand side's terms, and
+g then CG's p and H p; the previous x holds the right-hand side; and r's
 stretch holds the shrink's |v|, the objective's |g| and the change in x.
-The normal operator forms one component's gradient, one difference
-direction at a time, or one block's measurements at a time in that
-scratch and drops it once taken back through its adjoint.  Freeing one
-block that holds the working set raises glibc's mmap and trim
-thresholds, so a later large solve reuses heap that is already mapped
-rather than faulting its memory in again.
+The solve hands p, H p and the scratch to CG and normal as arguments, so
+the problem holds no state of a solve.  The normal operator forms one
+component's gradient, one difference direction at a time, or one block's
+measurements at a time in that scratch and drops it once taken back
+through its adjoint.  Freeing one block that holds the working set
+raises glibc's mmap and trim thresholds, so a later large solve reuses
+heap that is already mapped rather than faulting its memory in again.
 
 Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
@@ -68,22 +78,24 @@ dot products and the change in x sum window by window.  w, its
 multipliers and g are one (2, h, w) array per component.  The projection
 and the TV terms run on the window, the differences over its flattened
 rows, and the edge mask E zeroes every difference leaving it.  Only the
-data term needs canvases.
+data term and the outputs need canvases.
 
 Each Block is one sensor's equation z = A(op B_through x + B_direct x),
 with at most one operator, a geometry.Stencil: joint's shift U over
-c + d1, or superres's sampling S_k of the double-width image.  The
-block's image is composed in the work line of the problem's one
-Aperture, which holds the line and the transform's views and buffer for
-the whole solve: the windows seen through the operator are added into
-the problem's zeroed canvas (the double-width image is its own), the
-operator writes its product over the line, the direct windows are added
-into it, the padding past pixel_count is zeroed before each transform,
-and the adjoint, a view of the line, is cropped back to each window
-before the next transform; the operator's transpose writes its product
-over the canvas.  A component whose window is the whole canvas is its
-own canvas, so single-view solves run the full-canvas operations
-unchanged.  The outputs are laid on zeroed canvases once, at return.
+c + d1, or superres's sampling S_k of the double-width image.
+Problem.view composes the image that the block's sensor sees: the
+windows seen through the operator are added into the problem's zeroed
+canvas (the double-width image is its own), the operator writes its
+product over the view, and the direct windows are added into it.
+forward composes it in the work line of the problem's one Aperture,
+which holds the line and the transform's views and buffer for the whole
+solve; the padding past pixel_count is zeroed before each transform, and
+the adjoint, a view of the line, is cropped back to each window before
+the next transform; the operator's transpose writes its product over the
+canvas.  A component whose window is the whole canvas is its own canvas,
+so single-view solves run the full-canvas operations unchanged.  The
+outputs are laid on zeroed canvases once, at return, and each view is
+composed on its own.
 """
 
 from __future__ import annotations
@@ -98,7 +110,6 @@ from .geometry import (
     RegionMasks,
     ShiftOperator,
     Stencil,
-    apply_shift,
     build_region_masks,
     build_sampling,
 )
@@ -244,7 +255,8 @@ def check_fractional_dx(dx: float) -> None:
 @dataclass
 class Component:
     """One image component: a canvas of `shape`, zero off its support
-    `mask` (None for the whole canvas), with `weight` on its TV term.
+    `mask` (None for the whole canvas), with `weight` on its TV term;
+    solve() puts its image in the result's field `name`, if it has one.
 
     Derived once: `window`, the support's bounding box, and its
     `window_shape`; `full`, whether the window is the whole canvas;
@@ -263,6 +275,7 @@ class Component:
     shape: tuple
     mask: np.ndarray | None = None   # bool (h, w) or None for full support
     weight: float = 1.0              # l1 weight on its TV term
+    name: str | None = None          # its ReconstructionResult field
 
     def __post_init__(self):
         # the support window: the bounding box of the mask, the full canvas
@@ -296,11 +309,13 @@ class Component:
 class Block:
     """One sensor's equation z = A(op B_through x + B_direct x): the
     components in `through` are seen through the stencil op, those in
-    `direct` as they are."""
+    `direct` as they are.  The sensor's view, op B_through x + B_direct x,
+    goes into the result's field `name`, if it has one."""
     z: np.ndarray             # raw measurement vector
     direct: list              # component indices
     op: Stencil | None = None
     through: tuple = ()
+    name: str | None = None   # its view's ReconstructionResult field
 
 
 class _Vec(list):
@@ -312,11 +327,8 @@ class Problem:
     """One augmented-Lagrangian TV problem over a list of image components,
     with one block per sensor, all measured through the same spec and
     solved under cfg.  Problem.single, .joint and .superres build it from
-    the arguments that the matching reconstruct_* takes; solve() runs it."""
-
-    # while a solve runs: CG's p and H p, and normal's scratch (one window
-    # per component and one measurement vector), views of its working block
-    _work = (None, None, None, None)
+    the arguments that the matching reconstruct_* takes; solve() runs it
+    and returns the result.  A solve leaves the problem as it found it."""
 
     def __init__(self, spec: SensingSpec, comps, blocks, cfg: SolverConfig):
         self.spec = spec
@@ -374,7 +386,8 @@ class Problem:
     @staticmethod
     def _strips(masks: RegionMasks, cfg: SolverConfig) -> list:
         """The two border-strip components, each weighted sigma / 2."""
-        return [Component(m.shape, m, float(cfg.sigma) / 2.0) for m in masks.disjoint]
+        return [Component(m.shape, m, float(cfg.sigma) / 2.0, f"disjoint{k}")
+                for k, m in enumerate(masks.disjoint, 1)]
 
     # The builders take the arguments of the matching reconstruct_*.
 
@@ -386,7 +399,7 @@ class Problem:
         # a non-empty stack is checked row by row; anything else as one vector
         zs = cls._measurements(spec, width, height,
                                *(z if z.ndim == 2 and len(z) else [z]))
-        return cls(spec, [Component((height, width))],
+        return cls(spec, [Component((height, width), name="image")],
                    [Block(zrow, [0]) for zrow in zs], cfg or SolverConfig())
 
     @classmethod
@@ -401,13 +414,15 @@ class Problem:
             raise ValueError("mask dimensions disagree with the image size")
         if (shift.dx, shift.dy) != (masks.dx, masks.dy):
             raise ValueError("shift and masks were built for different offsets")
-        comps = [Component((height, width), masks.common), *cls._strips(masks, cfg)]
+        comps = [Component((height, width), masks.common, name="common"),
+                 *cls._strips(masks, cfg)]
         # Sensor 2 sees the first view shifted: for integer dx the shift of
         # I_D1 falls outside the grid and the constraint reduces to the usual
         # A(U I_C + I_D2) = z2, but for fractional dx the boundary column of
         # I_D1 leaks half a tap into the last common column of view 2, so the
         # shift is routed over I_C + I_D1 to keep the model exact.
-        blocks = [Block(z1, [0, 1]), Block(z2, [2], shift.matrix, [0, 1])]
+        blocks = [Block(z1, [0, 1], name="view1"),
+                  Block(z2, [2], shift.matrix, [0, 1], "view2")]
         return cls(spec, comps, blocks, cfg)
 
     @classmethod
@@ -419,9 +434,9 @@ class Problem:
         z1, z2 = cls._measurements(spec, width, height, z1, z2)
         check_fractional_dx(dx)
         masks = build_region_masks(dx, 0.0, width, height)
-        comps = [Component((height, 2 * width)), *cls._strips(masks, cfg)]
-        blocks = [Block(z1, [1], build_sampling(0.0, width, height), [0]),
-                  Block(z2, [2], build_sampling(dx, width, height), [0])]
+        comps = [Component((height, 2 * width), name="image"), *cls._strips(masks, cfg)]
+        blocks = [Block(z1, [1], build_sampling(0.0, width, height), [0], "view1"),
+                  Block(z2, [2], build_sampling(dx, width, height), [0], "view2")]
         return cls(spec, comps, blocks, cfg)
 
     # -- linear pieces ------------------------------------------------------
@@ -454,22 +469,28 @@ class Problem:
         for ci in cis:
             canvas[self.comps[ci].window] += xl[ci]
 
-    def forward(self, xl, bi, out=None):
-        """A_bar applied to the composed image of block bi, composed in the
-        aperture's line: the operator's product, if the block has one,
-        written over the line from the image composed in the problem's
-        canvas, with the direct components added into it.  The
-        measurements are written over `out` or a new vector."""
+    def view(self, xl, bi, out=None):
+        """The image that block bi's sensor sees, op B_through x + B_direct x,
+        written over the C-contiguous `out` of its size and returned shaped
+        as the direct components' canvas, or over a new array: the
+        operator's product, if the block has one, of the image composed in
+        the problem's canvas, with the direct components added into it."""
         b = self.blocks[bi]
-        img = self.aperture.image
-        canvas = img.reshape(self.comps[b.direct[0]].shape)
+        shape = self.comps[b.direct[0]].shape
+        out = np.empty(shape) if out is None else out.reshape(shape)
         if b.op is None:
-            own = self._compose(xl, b.direct, canvas)
-            if own is not canvas:
-                canvas[...] = own
+            own = self._compose(xl, b.direct, out)
+            if own is not out:
+                out[...] = own
         else:
-            b.op.apply(self._compose(xl, b.through, self.canvas), img)
-            self._add(xl, b.direct, canvas)
+            b.op.apply(self._compose(xl, b.through, self.canvas), out)
+            self._add(xl, b.direct, out)
+        return out
+
+    def forward(self, xl, bi, out=None):
+        """A_bar applied to block bi's view, composed in the aperture's
+        line; the measurements are written over `out` or a new vector."""
+        self.view(xl, bi, self.aperture.image)
         z = self.aperture.forward(out)
         z /= self.scale
         return z
@@ -499,14 +520,16 @@ class Problem:
             g[k] *= e[k]
         return g
 
-    def normal(self, xl, mu, g=None, fwd=None, out=None):
+    def normal(self, xl, mu, g=None, fwd=None, out=None, work=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
-        written over the _Vec `out` or a new one.  Each E_c D x_c and
-        A_bar B_b x is dropped once taken back through its adjoint, and a
-        fresh E_c D x_c is formed one direction at a time; a caller that
-        carries them for this x passes them as g, fwd.  Inside a solve the
-        fresh direction and the measurements are formed in its scratch."""
-        _, _, ds, zs = self._work
+        written over the _Vec `out` or a new one.  The terms E_c D x_c and
+        A_bar B_b x are taken back through their adjoints: g and fwd when
+        given (a caller that carries them for this x, or the solve's
+        right-hand side terms), and otherwise each formed fresh, one
+        direction or one block at a time, in `work` (a float64 array of at
+        least the largest window's and a block's entries) or a new array,
+        and dropped once taken back."""
+        zs = None if work is None else work[:self.spec.count]
         if out is None:
             out = self.vec()
         out.flat.fill(0.0)
@@ -514,7 +537,8 @@ class Problem:
             if g is not None:
                 _tv_adjoint(g[ci], h)
                 continue
-            d, e = np.empty(x.shape) if ds is None else ds[ci], self.comps[ci].edges
+            d = np.empty(x.shape) if work is None else work[:x.size].reshape(x.shape)
+            e = self.comps[ci].edges
             for k in (0, 1):
                 dk = _diff(x, k, d)
                 if e is not None:
@@ -541,16 +565,20 @@ class Problem:
     # -- main loop ----------------------------------------------------------
 
     def solve(self):
-        """Solve; returns the component images and a result carrying every
-        field but the mode-specific images."""
-        try:
-            x, res = self._iterate()
-        finally:
-            self._work = (None, None, None, None)
+        """Run the splitting; returns its ReconstructionResult with each
+        named component's image and each named block's view in the field
+        of that name."""
+        x, res = self._iterate()
         # each full component is a view of x's copy, and each windowed one
         # is laid on a zeroed canvas
         xl = self.vec(x)
-        return [self._compose(xl, [ci]) for ci in range(len(self.comps))], res
+        for ci, c in enumerate(self.comps):
+            if c.name is not None:
+                setattr(res, c.name, self._compose(xl, [ci]))
+        for bi, b in enumerate(self.blocks):
+            if b.name is not None:
+                setattr(res, b.name, self.view(xl, bi))
+        return res
 
     def _carry(self, xl, g, fwd):
         """Write E D x over the carried g and A_bar B x over fwd."""
@@ -573,12 +601,13 @@ class Problem:
         wl, ll, g = ([f[2 * a:2 * b].reshape((2,) + shape) for a, b, shape in self.spans]
                      for f in (wf, lf, gf))
         fwd, targets, nu = (np.split(f, nb) for f in (ff, tf, vf))
+        # each split as (carried product, split variable, multiplier)
+        splits = [*zip(g, wl, ll), *zip(fwd, targets, nu)]
         # g is dead from the warm-start residual to the end of CG, so p and
         # H p live there; q's head holds each component's (2, h, w) scratch
         # outside CG, and past r normal's scratch
         qg = [q[:2 * (b - a)].reshape((2,) + s) for a, b, s in self.spans]
-        self._work = (self.vec(gf[:n]), self.vec(gf[n:]),
-                      [q[n:n + b - a].reshape(s) for a, b, s in self.spans], q[n:n + m])
+        pl, hp, work = self.vec(gf[:n]), self.vec(gf[n:]), q[n:]
         xl, x_old, rl = self.vec(xf), self.vec(xo), self.vec(q[:n])
         cfg = self.cfg
         mu = PENALTY    # one penalty on both the TV and the data splits
@@ -607,52 +636,43 @@ class Problem:
         converged = False
 
         for t in range(1, cfg.max_iters + 1):
-            # shrinkage step on the gradient splits
-            for ci, c in enumerate(self.comps):
-                w = np.divide(ll[ci], mu, out=wl[ci])
-                w += g[ci]
-                tv_shrink(w, c.weight / mu, out=w, work=qg[ci])
-            # fidelity targets zbar + shrink r: projection onto each block's
-            # eps ball; a noise-free block has radius 0, so shrink is 0 and
-            # the target is zbar
-            for bi, r in enumerate(targets):
-                np.add(fwd[bi], np.divide(nu[bi], mu, out=r), out=r)
-                r -= self.zbar[bi]
+            # each split starts at product + multiplier / mu and takes its
+            # proximal step: shrinkage on the gradient splits, and on the
+            # fidelity targets projection onto each block's eps ball around
+            # zbar (a noise-free block has radius 0, so its target is zbar)
+            for p, s, lam in splits:
+                np.add(p, np.divide(lam, mu, out=s), out=s)
+            for c, w, u in zip(self.comps, wl, qg):
+                tv_shrink(w, c.weight / mu, out=w, work=u)
+            for r, zbar, eps in zip(targets, self.zbar, self.eps):
+                r -= zbar
                 rn = float(np.linalg.norm(r))
-                shrink = min(1.0, self.eps[bi] / rn) if rn > 0.0 else 0.0
-                r *= shrink
-                np.add(self.zbar[bi], r, out=r)
+                r *= min(1.0, eps / rn) if rn > 0.0 else 0.0
+                np.add(zbar, r, out=r)
 
             # quadratic subproblem by projected conjugate gradients, from
             # the warm-start residual rhs - H x: H x reuses g and fwd, whose
-            # buffers then hold the right-hand side's temporaries; rhs is
-            # formed over x_old, which then takes a copy of x for CG to
-            # iterate x in place
+            # buffers then hold the right-hand side's terms
+            # split - multiplier / mu; rhs is formed over x_old, which then
+            # takes a copy of x for CG to iterate x in place
             x_prev_norm = math.sqrt(self._dot(xl, xl))
             r0 = self.normal(xl, mu, g, fwd, out=rl)
-            rhs = x_old
-            rhs.flat.fill(0.0)
-            for w, lam, u, h in zip(wl, ll, g, rhs):
-                _tv_adjoint(np.subtract(w, np.divide(lam, mu, out=u), out=u), h)
-            rhs.flat *= mu
-            for bi, (z, v, u) in enumerate(zip(targets, nu, fwd)):
-                self.adjoint(np.subtract(z, np.divide(v, mu, out=u), out=u), bi, rhs, mu)
-            self.project(rhs)
+            for p, s, lam in splits:
+                np.subtract(s, np.divide(lam, mu, out=p), out=p)
+            rhs = self.normal(xl, mu, g, fwd, out=x_old)
             np.subtract(rhs.flat, r0.flat, out=r0.flat)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
             x_old.flat[...] = xl.flat
-            xl = self._cg(xl, r0, target, mu)
+            xl = self._cg(xl, r0, target, mu, pl, hp, work)
             self.project(xl)
 
             if not np.isfinite(xl.flat, out=q.view(np.bool_)[:n]).all():
                 raise SolverError(f"solver diverged (non-finite values) at iteration {t}")
 
-            # dual updates (wl and the targets are scratch until reformed)
+            # dual updates (the split variables are scratch until reformed)
             self._carry(xl, g, fwd)
-            for f, u, v in zip(fwd, targets, nu):
-                v += np.multiply(mu, np.subtract(f, u, out=u), out=u)
-            for ci, w in enumerate(wl):
-                ll[ci] += np.multiply(mu, np.subtract(g[ci], w, out=w), out=w)
+            for p, s, lam in splits:
+                lam += np.multiply(mu, np.subtract(p, s, out=s), out=s)
 
             obj = sum(c.weight * float(np.abs(gc, out=u).sum())
                       for c, gc, u in zip(self.comps, g, qg))
@@ -684,18 +704,18 @@ class Problem:
             epsilon=self.radii,
         )
 
-    def _cg(self, x0, r0, target, mu):
+    def _cg(self, x0, r0, target, mu, pl, hp, work):
         """Conjugate gradients for H x = rhs at penalty mu from x0 until the
         residual norm is at most `target`; x0 and r0 = rhs - H x0 are
-        updated in place, and p and H p are the solve's."""
-        pl, hp = self._work[:2]
+        updated in place, p and H p are formed in the _Vecs pl and hp, and
+        normal's scratch in `work`."""
         x, r, p, h = x0.flat, r0.flat, pl.flat, hp.flat
         p[...] = r
         rs = self._dot(r0, r0)
         for _ in range(CG_MAX_ITERS):
             if math.sqrt(rs) <= target:
                 break
-            self.normal(pl, mu, out=hp)
+            self.normal(pl, mu, out=hp, work=work)
             denom = self._dot(pl, hp)
             if denom <= 0.0:
                 break
@@ -722,9 +742,7 @@ def reconstruct_single(z: np.ndarray, spec: SensingSpec, width: int, height: int
     from the same image with the same spec; each stacked vector adds an
     independent fidelity constraint.
     """
-    (image,), res = Problem.single(z, spec, width, height, cfg).solve()
-    res.image = image
-    return res
+    return Problem.single(z, spec, width, height, cfg).solve()
 
 
 def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
@@ -736,12 +754,7 @@ def reconstruct_joint(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     Both sensors record the same displayed pattern sequence, so one spec
     covers both measurement vectors.
     """
-    problem = Problem.joint(z1, z2, spec, width, height, shift, masks, cfg)
-    (common, d1, d2), res = problem.solve()
-    res.common, res.disjoint1, res.disjoint2 = common, d1, d2
-    res.view1 = common + d1
-    res.view2 = apply_shift(shift, res.view1) + d2
-    return res
+    return Problem.joint(z1, z2, spec, width, height, shift, masks, cfg).solve()
 
 
 def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
@@ -754,10 +767,4 @@ def reconstruct_superres(z1: np.ndarray, z2: np.ndarray, spec: SensingSpec,
     pixels is a 7-pixel high-res shift).  Integer or non-finite dx raises
     ValueError.
     """
-    problem = Problem.superres(z1, z2, spec, width, height, dx, cfg)
-    (hr, d1, d2), res = problem.solve()
-    res.image, res.disjoint1, res.disjoint2 = hr, d1, d2
-    # each view is its sensor's sampling of hr plus its strip
-    res.view1, res.view2 = ((b.op @ hr.ravel()).reshape(height, width) + d
-                            for b, d in zip(problem.blocks, (d1, d2)))
-    return res
+    return Problem.superres(z1, z2, spec, width, height, dx, cfg).solve()

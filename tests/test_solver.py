@@ -509,14 +509,14 @@ def test_cg_vectors_are_window_views_of_one_contiguous_array(monkeypatch):
     seen = {}
     real_cg, real_normal = Problem._cg, Problem.normal
 
-    def cg(self, x0, r0, target, mu):
+    def cg(self, x0, r0, target, mu, pl, hp, work):
         seen.update(x=(self, x0), r=(self, r0))
-        return real_cg(self, x0, r0, target, mu)
+        return real_cg(self, x0, r0, target, mu, pl, hp, work)
 
-    def normal(self, xl, mu, g=None, fwd=None, out=None):
+    def normal(self, xl, mu, g=None, fwd=None, out=None, work=None):
         if out is not None:
             seen.update(p=(self, xl), hp=(self, out))
-        return real_normal(self, xl, mu, g, fwd, out)
+        return real_normal(self, xl, mu, g, fwd, out, work)
 
     monkeypatch.setattr(Problem, "_cg", cg)
     monkeypatch.setattr(Problem, "normal", normal)
@@ -688,6 +688,25 @@ def test_solve_allocates_its_working_block_and_little_else(mode, monkeypatch):
         f"loop {loop[-1] - block - iteration_buffer} B over the block and buffer"
     assert peak <= block + 8 * n + objects, \
         f"solve {peak - block - 8 * n} B over the block and x's copy"
+
+
+@pytest.mark.parametrize("mode", ["single", "joint", "superres"])
+def test_a_solve_leaves_its_problem_as_it_found_it(mode):
+    """solve() adds, drops and rebinds no attribute of its problem: p, H p
+    and normal's scratch are the solve's own."""
+    spec = make_spec(256, 0.5, 11, pixel_count=256)
+    z = measure(make_test_scene("blocks", 16, 16, 3).base, spec)
+    if mode == "single":
+        problem = Problem.single(z, spec, 16, 16, SolverConfig(max_iters=3))
+    elif mode == "joint":
+        problem = Problem.joint(z, z, spec, 16, 16, build_shift(3.5, 0.0, 16, 16),
+                                build_region_masks(3.5, 0.0, 16, 16),
+                                SolverConfig(max_iters=3))
+    else:
+        problem = Problem.superres(z, z, spec, 16, 16, 3.5, SolverConfig(max_iters=3))
+    before = {k: id(v) for k, v in vars(problem).items()}
+    problem.solve()
+    assert {k: id(v) for k, v in vars(problem).items()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1112,23 @@ def test_superres_views_are_each_sensors_sampling_plus_its_strip():
                               (res.view2, dx, res.disjoint2)):
         want = (build_sampling(dx_k, size, size) @ res.image.ravel()
                 ).reshape(size, size) + strip
+        assert view.dtype == want.dtype and view.shape == want.shape
+        assert view.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dx,dy", [(3.5, 0.0), (-2.5, -1.25), (3.0, -2.0), (0.0, 0.0)])
+def test_joint_views_are_each_sensors_composed_image(dx, dy):
+    """view1 is c + d1 and view2 is U(c + d1) + d2, byte for byte."""
+    size = 16
+    masks = build_region_masks(dx, dy, size, size)
+    shift = build_shift(dx, dy, size, size)
+    v1 = make_test_scene("blocks", size, size, 7).base
+    v2 = apply_shift(shift, v1) + np.where(masks.disjoint[1], 0.6, 0.0)
+    spec = make_spec(256, 0.5, 3, pixel_count=size * size)
+    res = reconstruct_joint(measure(v1, spec), measure(v2, spec), spec, size, size,
+                            shift, masks, SolverConfig(max_iters=5))
+    for view, want in ((res.view1, res.common + res.disjoint1),
+                       (res.view2, apply_shift(shift, res.view1) + res.disjoint2)):
         assert view.dtype == want.dtype and view.shape == want.shape
         assert view.tobytes() == want.tobytes()
 

@@ -61,12 +61,15 @@ not overlap share space: g and A x hold the right-hand side's terms, and
 g then CG's p and H p; the previous x holds the right-hand side; and r's
 stretch holds the shrink's |v|, the objective's |g| and the change in x.
 The solve hands p, H p and the scratch to CG and normal as arguments, so
-the problem holds no state of a solve.  The normal operator forms one
-component's gradient, one difference direction at a time, or one block's
-measurements at a time in that scratch and drops it once taken back
-through its adjoint.  Freeing one block that holds the working set
-raises glibc's mmap and trim thresholds, so a later large solve reuses
-heap that is already mapped rather than faulting its memory in again.
+the problem holds no state of a solve.  The normal operator takes each
+component's TV term back one difference direction at a time, the carried
+g's or a fresh one that _diff forms in that scratch under the same
+border rule (E where the component has one, else zero row ends along x),
+and each block's measurements one block at a time, formed in the scratch
+too; each is dropped once taken back through its adjoint.  Freeing one
+block that holds the working set raises glibc's mmap and trim
+thresholds, so a later large solve reuses heap that is already mapped
+rather than faulting its memory in again.
 
 Every per-component array lives on the component's support window, the
 bounding box of its mask: the full canvas without a mask, empty for an
@@ -173,23 +176,33 @@ class ReconstructionResult:
 
 # Direction k's differences (k = 0 along x, 1 along y) run over an image's
 # flattened rows, pixel p to p + s with s = 1 along x and the row length
-# along y, so each runs on contiguous memory; the last column (row) has none.
+# along y, so each runs on contiguous memory.  The border rule: the border
+# is replicate, so the last column (row) has no difference; along x the
+# flat run's row ends, which would straddle two rows, are zeros, and along
+# y the run stops a row short.
 
-def _diff(img: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """Direction k's differences of the C-contiguous img, written to the
-    head of out's flat form (out C-contiguous and shaped as img) and
-    returned as that flat view; along x the caller zeroes the row ends
-    (an edge mask, False on the last column, does)."""
+def _diff(img: np.ndarray, k: int, out: np.ndarray, edges=None) -> np.ndarray:
+    """Direction k's differences of the C-contiguous img under the border
+    rule, written to the head of out's flat form (out C-contiguous and
+    shaped as img) and returned as that flat view.  With an edge mask they
+    are multiplied by the head of edges[k], whose last column is False;
+    without one, out's last column is zeroed along x."""
     s = (1, img.shape[1])[k]
     a = img.reshape(-1)
-    return np.subtract(a[s:], a[:a.size - s], out=out.reshape(-1)[:a.size - s])
+    d = np.subtract(a[s:], a[:a.size - s], out=out.reshape(-1)[:a.size - s])
+    if edges is not None:
+        d *= edges[k].reshape(-1)[:d.size]
+    elif not k:
+        out[:, -1:] = 0.0
+    return d
 
 
 def _diff_adjoint(d: np.ndarray, k: int, out: np.ndarray) -> None:
     """Add D_k^T d into the C-contiguous out, from _diff's flat view or the
     flat head of an array shaped as out.  Along x, d's row ends must be
-    zeros and out zero beforehand: the zeros then land as +0.0 on the next
-    row's start and leave the row's end as the per-row form leaves them."""
+    zeros, as the border rule leaves them, and out zero beforehand: the
+    zeros then land as +0.0 on the next row's start and leave the row's end
+    as the per-row form leaves them."""
     s = (1, out.shape[1])[k]
     o = out.reshape(-1)
     d = d.reshape(-1)[:o.size - s]
@@ -197,22 +210,15 @@ def _diff_adjoint(d: np.ndarray, k: int, out: np.ndarray) -> None:
     o[:d.size] -= d
 
 
-def _tv_adjoint(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add D^T g into the zeroed C-contiguous out and return it; g's row
-    ends along x are zeros, as tv_grad leaves them."""
-    for k in (0, 1):
-        _diff_adjoint(g[k], k, out)
-    return out
-
-
 def tv_grad(image: np.ndarray, out=None) -> np.ndarray:
-    """Forward differences with replicate boundary, stacked as (2, h, w),
-    written over `out` (C-contiguous float64 of that shape) when given."""
+    """Forward differences under the border rule, stacked as (2, h, w)
+    with zeros where D leaves entries empty, written over `out`
+    (C-contiguous float64 of that shape) when given."""
     img = np.ascontiguousarray(image, dtype=np.float64)
     g = np.empty((2,) + img.shape) if out is None else out
     for k in (0, 1):
         _diff(img, k, g[k])
-    g[0][:, -1:] = g[1][-1:] = 0.0    # the entries D leaves empty
+    g[1][-1:] = 0.0    # past the run along y
     return g
 
 
@@ -221,7 +227,10 @@ def tv_grad_adjoint(g: np.ndarray) -> np.ndarray:
     are ignored."""
     g = np.array(g, dtype=np.float64, order="C")
     g[0][:, -1:] = 0.0
-    return _tv_adjoint(g, np.zeros(g.shape[1:]))
+    out = np.zeros(g.shape[1:])
+    for k in (0, 1):
+        _diff_adjoint(g[k], k, out)
+    return out
 
 
 def tv_shrink(values: np.ndarray, threshold: float, out=None, work=None) -> np.ndarray:
@@ -346,13 +355,22 @@ class Problem:
         t = 1.0 + spec.count / 4.0
         norm_sq = spec.pixel_count * (t + math.sqrt(t * t - 1.0)) / 2.0
         self.scale = math.sqrt(len(blocks) * norm_sq / spec.order)
-        self.zbar = [np.asarray(b.z, dtype=np.float64) / self.scale for b in blocks]
-        self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
-        # each block's noise ball, sized from its own vector as add_noise
-        # scaled that sensor's noise
-        self.radii = [epsilon_for_noise(cfg.noise_sigma, b.z)
-                      if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
+        # a norm or radius out of float64 range is refused below, unwarned
+        with np.errstate(over="ignore", under="ignore"):
+            self.zbar = [np.asarray(b.z, dtype=np.float64) / self.scale for b in blocks]
+            self.znorm = [float(np.linalg.norm(z)) for z in self.zbar]
+            # each block's noise ball, sized from its own vector as add_noise
+            # scaled that sensor's noise
+            self.radii = [epsilon_for_noise(cfg.noise_sigma, b.z)
+                          if cfg.noise_sigma > 0.0 else 0.0 for b in blocks]
         self.eps = [r / self.scale for r in self.radii]
+        # an infinite norm or radius passes the stop test's feasibility check
+        # at once, and so does a norm that underflows to 0 for nonzero values
+        for bi, (b, zn, e) in enumerate(zip(blocks, self.znorm, self.eps)):
+            if not (math.isfinite(zn) and math.isfinite(e)) or (zn == 0.0 and np.any(b.z)):
+                raise ValueError(
+                    f"measurement vector {bi + 1}: its norm or noise ball is out of "
+                    "float64 range (not finite, or 0 for nonzero values); rescale it")
         # each window's place in a _Vec's array
         ends = np.cumsum([0] + [math.prod(c.window_shape) for c in comps]).tolist()
         self.spans = list(zip(ends, ends[1:], [c.window_shape for c in comps]))
@@ -523,29 +541,21 @@ class Problem:
     def normal(self, xl, mu, g=None, fwd=None, out=None, work=None):
         """H x = mu (D^T E D x + sum_b (A_bar B_b)^T A_bar B_b x), projected,
         written over the _Vec `out` or a new one.  The terms E_c D x_c and
-        A_bar B_b x are taken back through their adjoints: g and fwd when
-        given (a caller that carries them for this x, or the solve's
-        right-hand side terms), and otherwise each formed fresh, one
-        direction or one block at a time, in `work` (a float64 array of at
-        least the largest window's and a block's entries) or a new array,
-        and dropped once taken back."""
+        A_bar B_b x are taken back through their adjoints, one direction or
+        one block at a time: g and fwd when given (a caller that carries
+        them for this x, or the solve's right-hand side terms), and
+        otherwise each formed fresh in `work` (a float64 array of at least
+        the largest window's and a block's entries, whatever it holds) or a
+        new array, and dropped once taken back."""
         zs = None if work is None else work[:self.spec.count]
         if out is None:
             out = self.vec()
         out.flat.fill(0.0)
         for ci, (x, h) in enumerate(zip(xl, out)):
-            if g is not None:
-                _tv_adjoint(g[ci], h)
-                continue
             d = np.empty(x.shape) if work is None else work[:x.size].reshape(x.shape)
-            e = self.comps[ci].edges
             for k in (0, 1):
-                dk = _diff(x, k, d)
-                if e is not None:
-                    dk *= e[k].reshape(-1)[:dk.size]
-                elif not k:
-                    d[:, -1:] = 0.0
-                _diff_adjoint(dk, k, h)
+                _diff_adjoint(_diff(x, k, d, self.comps[ci].edges) if g is None
+                              else g[ci][k], k, h)
         out.flat *= mu
         for bi in range(len(self.blocks)):
             self.adjoint(self.forward(xl, bi, zs) if fwd is None else fwd[bi],
@@ -656,10 +666,10 @@ class Problem:
             # split - multiplier / mu; rhs is formed over x_old, which then
             # takes a copy of x for CG to iterate x in place
             x_prev_norm = math.sqrt(self._dot(xl, xl))
-            r0 = self.normal(xl, mu, g, fwd, out=rl)
+            r0 = self.normal(xl, mu, g, fwd, out=rl, work=work)
             for p, s, lam in splits:
                 np.subtract(s, np.divide(lam, mu, out=p), out=p)
-            rhs = self.normal(xl, mu, g, fwd, out=x_old)
+            rhs = self.normal(xl, mu, g, fwd, out=x_old, work=work)
             np.subtract(rhs.flat, r0.flat, out=r0.flat)
             target = CG_TOL * math.sqrt(max(self._dot(rhs, rhs), 1.0e-300))
             x_old.flat[...] = xl.flat

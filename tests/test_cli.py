@@ -601,6 +601,26 @@ def test_missing_measurement_file_is_a_runtime_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+def test_measurements_whose_norm_overflows_are_a_clean_error(tmp_path):
+    """Noise at 1e300 writes finite values whose norm float64 cannot hold:
+    reconstruct, in a fresh interpreter, exits 1 with one mvlci: line on
+    stderr and no numpy warning, and creates no output directory."""
+    views = [str(tmp_path / f"view{k}.pgm") for k in (1, 2)]
+    assert main(["scene", "--width", "46", "--height", "16", "--views",
+                 "--out", str(tmp_path / "s.pgm")]) == 0
+    assert main(["measure", "--views", *views, "--rate", "0.5", "--noise", "1e300",
+                 "--out", str(tmp_path / "m.mvm")]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "mvlci.cli", "reconstruct",
+                          "--meas", str(tmp_path / "m.mvm"), "--out", str(tmp_path / "r")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert re.fullmatch(r"mvlci: measurement vector 1: [^\n]*\n", run.stderr), run.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def edit_header(data, key, value):
     """Replace (or, with value None, drop) one MVM1 header field."""
     header, _, payload = data.partition(b"\n\n")

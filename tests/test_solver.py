@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -425,11 +426,11 @@ def normal_case(mode, dx, dy):
     ("superres", -2.5, 0.0),
 ])
 def test_streamed_normal_is_bytewise_the_assembled_one(mode, dx, dy):
-    """normal, fresh, from carried products and written over a dirty list,
-    gives the assembled operator cropped to each support window; forward
-    gives the assembled products and grad the assembled gradient on each
-    window.  The assembled operator runs on each window laid on a zeroed
-    canvas."""
+    """normal, fresh, from carried products, written over a dirty list and
+    in a stale scratch, as the solve hands it, gives the assembled operator
+    cropped to each support window; forward gives the assembled products
+    and grad the assembled gradient on each window.  The assembled operator
+    runs on each window laid on a zeroed canvas."""
     problem = normal_case(mode, dx, dy)
     rng = np.random.default_rng(4)
     for mu in (PENALTY, 3.0 * PENALTY):
@@ -454,7 +455,9 @@ def test_streamed_normal_is_bytewise_the_assembled_one(mode, dx, dy):
         dirty = problem.vec()
         dirty.flat.fill(np.nan)
         problem.normal(xl, mu, out=dirty)
-        for got in (problem.normal(xl, mu), problem.normal(xl, mu, g, fwd), dirty):
+        big = max([problem.spec.count] + [x.size for x in xl])
+        for got in (problem.normal(xl, mu), problem.normal(xl, mu, g, fwd), dirty,
+                    problem.normal(xl, mu, work=stale((big,)))):
             assert [a.shape for a in got] == [c.window_shape for c in problem.comps]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -766,6 +769,19 @@ def test_zero_measurements_give_bitwise_zero():
     res = reconstruct_single(np.zeros(spec.count), spec, 16, 16)
     assert np.all(res.image == 0.0)
     assert res.converged
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_measurements_whose_norm_float64_cannot_hold_are_refused(factor):
+    """At 1e200 ||z|| overflows to inf and at 1e-200 it underflows to 0;
+    either would pass the stop test's feasibility check at iteration 1."""
+    truth = make_test_scene("blocks", 16, 16, 7).base
+    spec = make_spec(256, 0.5, 3, pixel_count=256)
+    z = measure(truth, spec) * factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="measurement vector 1"):
+            reconstruct_single(z, spec, 16, 16)
 
 
 def test_converged_run_satisfies_the_residual_criterion():
